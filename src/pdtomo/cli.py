@@ -63,6 +63,7 @@ from .solver import (
     run_gd_lsq,
 )
 from .spectral import (
+    EIG_ENGINE,
     EigenSet,
     leading_eigenpairs,
     diagonal_steps,
@@ -147,7 +148,7 @@ def _eig_cache_path(cfg: ExperimentConfig, grid, geom) -> Path:
             cfg.problem,
             f"K{cfg.k_eigs}",
             f"blur{cfg.blur_width!r}",
-            f"np{cfg.power_iters}",
+            EIG_ENGINE,
             f"seed{cfg.seed}",
         ]
     )

@@ -9,6 +9,7 @@ different scan.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from pathlib import Path
 
@@ -92,12 +93,24 @@ def load_sinogram(path, geom: FanBeamGeometry, grid: ImageGrid | None = None) ->
 
 
 def save_eigenset(path, eigs: EigenSet) -> None:
-    """Persist eigenpairs so spectral precomputation can be reused."""
-    with open(path, "wb") as fh:
-        fh.write(_EIG_MAGIC)
-        fh.write(struct.pack("<II", eigs.n, eigs.k))
-        fh.write(np.asarray(eigs.values, dtype="<f8").tobytes())
-        fh.write(np.asarray(eigs.vectors, dtype="<f8").tobytes())
+    """Persist eigenpairs so spectral precomputation can be reused.
+
+    The file is written under a per-process temporary name in the same
+    directory and renamed into place, so a concurrent reader sees either
+    the previous file or the complete new one, never a partial write.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_EIG_MAGIC)
+            fh.write(struct.pack("<II", eigs.n, eigs.k))
+            fh.write(np.asarray(eigs.values, dtype="<f8").tobytes())
+            fh.write(np.asarray(eigs.vectors, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_eigenset(path) -> EigenSet:

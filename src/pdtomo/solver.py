@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -305,7 +306,7 @@ class _DivergenceGuard:
     """Abort when ||x|| is non-finite or explodes across a short window."""
 
     def __init__(self):
-        self.history: list[float] = []
+        self.history: deque[float] = deque(maxlen=DIVERGENCE_WINDOW + 1)
 
     def check(self, x: Vector, iteration: int):
         nrm = float(np.linalg.norm(x))
@@ -313,7 +314,7 @@ class _DivergenceGuard:
             raise DivergenceError(f"non-finite image norm at iteration {iteration}")
         self.history.append(nrm)
         if len(self.history) > DIVERGENCE_WINDOW:
-            past = self.history[-DIVERGENCE_WINDOW - 1]
+            past = self.history[0]
             if past > 0 and nrm > DIVERGENCE_FACTOR * past:
                 raise DivergenceError(
                     f"image norm grew from {past:.3e} to {nrm:.3e} within "
@@ -515,8 +516,10 @@ def run_cgls(
     """CGLS on the normal equations, zero start, no preconditioning.
 
     Stops cleanly at the current iterate on breakdown (zero search
-    direction or curvature).  The residual-based metrics r_sigma, r_tau
-    and the primal-dual gap are undefined here and left empty.
+    direction or curvature); the last iterate is always recorded and
+    the state reports the iteration the loop stopped at.  The
+    residual-based metrics r_sigma, r_tau and the primal-dual gap are
+    undefined here and left empty.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -538,6 +541,7 @@ def run_cgls(
         )
 
     emit(0)
+    done = 0
     for k in range(1, k_max + 1):
         q = operator(p)
         delta = float(q @ q)
@@ -551,7 +555,10 @@ def run_cgls(
         b_step = gamma_new / gamma
         gamma = gamma_new
         p = s + b_step * p
-        if k % record_stride == 0 or k == k_max:
+        done = k
+        if k % record_stride == 0:
             emit(k)
-    state = SaddleState(x, np.zeros_like(g), x.copy(), operator(x), k_max)
+    if record.iters[-1] != done:
+        emit(done)
+    state = SaddleState(x, np.zeros_like(g), x.copy(), operator(x), done)
     return state, record

@@ -1,7 +1,7 @@
 """Spectral estimation and step-size plans for the primal-dual solvers.
 
-Provides power-method spectral norms, a deflated power method for the
-leading eigenpairs of A^T A, the truncated-inverse low-rank step matrix
+Provides power-method spectral norms, Lanczos (ARPACK) leading
+eigenpairs of A^T A, the truncated-inverse low-rank step matrix
 T built from those eigenpairs (optionally spatially smoothed), diagonal
 row/column-sum step matrices, and the sigma consistent with a given
 matrix T.
@@ -17,6 +17,9 @@ import numpy as np
 from .linop import LinearMap, Vector, materialize_dense, scaled
 
 _DEF_ITERS = 100
+# Names the eigenpair engine in cache keys, so pairs from another engine
+# are never read back as a hit.
+EIG_ENGINE = "lanczos"
 
 
 @dataclass
@@ -119,41 +122,39 @@ def spectral_norm(map_: LinearMap, iters: int = _DEF_ITERS, seed: int = 0) -> fl
 def leading_eigenpairs(
     map_: LinearMap, k: int, n_power: int = _DEF_ITERS, seed: int = 0
 ) -> EigenSet:
-    """Deflated power method for the K leading eigenpairs of A^T A.
+    """The K leading eigenpairs of A^T A by implicitly restarted Lanczos.
 
-    For each k the power step applies A^T A, re-orthogonalizes against
-    all previously found eigenvectors, and records the pre-normalization
-    norm of the final step as the eigenvalue estimate e_k.
+    Runs ARPACK (`scipy.sparse.linalg.eigsh`, largest algebraic) on A^T A
+    applied matrix-free, from the start vector
+    `default_rng(seed).standard_normal(n)`, to machine precision; equal
+    seeds give identical pairs.  K == n, which ARPACK cannot do, falls
+    back to a dense eigendecomposition.  `n_power` is validated but
+    unused: it governs only `spectral_norm` and `sigma_for_T`.
+    Non-convergence raises `ArpackNoConvergence`, a RuntimeError.
     """
     n = map_.domain_dim
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= K <= {n}, got {k}")
     if n_power < 1:
         raise ValueError("n_power must be >= 1")
-    rng = np.random.default_rng(seed)
-    vectors = np.zeros((k, n))
-    values = np.zeros(k)
-    for j in range(k):
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        e = 0.0
-        for _ in range(n_power):
-            u = map_.adjoint(map_(u))
-            if j:
-                u = u - vectors[:j].T @ (vectors[:j] @ u)
-            e = np.linalg.norm(u)
-            if e == 0.0:
-                raise ValueError(
-                    f"power iteration collapsed at eigenpair {j}: "
-                    "operator rank is smaller than K"
-                )
-            u = u / e
-        vectors[j] = u
-        values[j] = e
-    # Deflation can leave near-equal neighbors marginally swapped before
-    # full convergence; order the estimates so e_K is the smallest.
+    if k < n:
+        # Imported here: scipy.sparse.linalg loads scipy.linalg, about 8 MB
+        # resident that runs without a low-rank plan should not carry.
+        from scipy.sparse.linalg import LinearOperator, eigsh
+
+        gram = LinearOperator((n, n), matvec=lambda v: map_.adjoint(map_(v)), dtype=float)
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        values, vectors = eigsh(gram, k=k, which="LA", v0=v0)
+    else:
+        a = materialize_dense(map_)
+        values, vectors = np.linalg.eigh(a.T @ a)
     order = np.argsort(values)[::-1]
-    return EigenSet(vectors[order], values[order])
+    values, vectors = values[order], vectors[:, order].T
+    if values[-1] <= n * np.finfo(float).eps * max(values[0], 0.0):
+        raise ValueError(
+            f"eigenvalue {k - 1} is numerically zero: operator rank is smaller than K"
+        )
+    return EigenSet(vectors, values)
 
 
 def build_lowrank_T(eigs: EigenSet) -> LinearMap:
@@ -288,7 +289,7 @@ def lowrank_steps(
     """Assemble a low-rank plan: eigenpairs, T, and the matching sigma.
 
     Pass a precomputed `eigs` (e.g. loaded from cache) to skip the
-    power-method stage.  The ratio rho scales sigma up and T down,
+    eigenpair stage.  The ratio rho scales sigma up and T down,
     leaving the step product unchanged.
     """
     if eigs is None:

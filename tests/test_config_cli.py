@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from pdtomo import cli
 from pdtomo.config import (
@@ -363,3 +364,57 @@ def test_eigenpair_cache_is_actually_read(tmp_path):
     second = cli.cached_eigenpairs(cfg, grid, geom, a_map)
     assert np.array_equal(second.values, doctored.values)
     assert not np.array_equal(first.values, doctored.values)
+
+
+def test_eig_cache_key_names_the_engine(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tmp_path / "out", plan="lowrank", cache_dir=str(tmp_path / "cache"))
+    grid, geom = cli.build_grid(cfg), cli.build_geom(cfg)
+    path = cli._eig_cache_path(cfg, grid, geom)
+    # power_iters no longer shapes the eigenpairs, so it is not in the key
+    assert cli._eig_cache_path(replace(cfg, power_iters=7), grid, geom) == path
+    assert cli._eig_cache_path(replace(cfg, seed=4), grid, geom) != path
+    # pairs from another engine land under another name and are never read
+    monkeypatch.setattr(cli, "EIG_ENGINE", "power")
+    assert cli._eig_cache_path(cfg, grid, geom) != path
+
+
+def lowrank_artifacts(tmp_path, name, cache):
+    cfg = tiny_cfg(
+        tmp_path / name, plan="lowrank", k_eigs=5, cache_dir=str(tmp_path / cache)
+    )
+    cli.run_experiment(cfg)
+    return [
+        (tmp_path / name / artifact).read_bytes()
+        for artifact in ("convergence.csv", "final_image.raw")
+    ]
+
+
+def test_lowrank_runs_repeat_bitwise_in_fresh_caches(tmp_path):
+    first = lowrank_artifacts(tmp_path, "a", "cache_a")
+    second = lowrank_artifacts(tmp_path, "b", "cache_b")
+    assert first == second
+
+
+def test_lowrank_cache_hit_repeats_the_miss_bitwise(tmp_path, monkeypatch):
+    miss = lowrank_artifacts(tmp_path, "miss", "cache")
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("eigenpairs recomputed despite a cached file")
+
+    monkeypatch.setattr(cli, "leading_eigenpairs", no_recompute)
+    hit = lowrank_artifacts(tmp_path, "hit", "cache")
+    assert hit == miss
+
+
+def test_main_lanczos_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
+    args = ["run", "-o", str(tmp_path / "out")]
+    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_max=5", "plan=lowrank",
+                 "k_eigs=3", f"cache_dir={tmp_path / 'cache'}"):
+        args += ["--set", pair]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: [plan]") and "No convergence" in err

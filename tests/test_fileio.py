@@ -90,6 +90,27 @@ def test_eigenset_round_trip(tmp_path):
     assert back.k == 3 and back.n == 6
 
 
+def test_eigenset_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "pairs.eig"
+    save_eigenset(path, EigenSet(np.eye(6)[:2], [4.0, 1.0]))
+    before = path.read_bytes()
+
+    class FailingVectors:
+        """Stands in for the vectors; converting them fails mid-write."""
+
+        shape = (3, 6)
+
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
+
+    doomed = EigenSet(np.eye(6)[:3], [9.0, 4.0, 1.0])
+    monkeypatch.setattr(doomed, "vectors", FailingVectors())
+    with pytest.raises(OSError, match="disk full"):
+        save_eigenset(path, doomed)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.eig"]
+
+
 def test_eigenset_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.eig"
     path.write_bytes(b"XXXXGARBAGE")

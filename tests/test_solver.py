@@ -13,6 +13,8 @@ from pdtomo.linop import StackedMap, from_dense, identity
 from pdtomo.phantom import generate
 from pdtomo.prox import project_l1_ball_sorted
 from pdtomo.solver import (
+    DIVERGENCE_WINDOW,
+    _DivergenceGuard,
     CSV_COLUMNS,
     ConvergenceRecord,
     DivergenceError,
@@ -413,6 +415,33 @@ def test_divergence_guard_trips_on_bad_norm_estimate(tiny):
         run_cppd_lsq(lsq_problem(tiny), plan, k_max=300)
 
 
+def test_divergence_guard_trip_iterations(tiny):
+    # the iterations at which the unbounded-list guard tripped
+    plan = scalar_steps(tiny["L"], rho=1.0, safety=0.01)
+    with pytest.raises(DivergenceError, match=r"\(at iteration 12\)"):
+        run_cppd_lsq(lsq_problem(tiny), plan, k_max=300)
+    with pytest.warns(RuntimeWarning, match="alpha"):
+        with pytest.raises(DivergenceError, match=r"\(at iteration 11\)"):
+            run_gd_lsq(lsq_problem(tiny), 20.0, 300, L=tiny["L"])
+
+
+def test_divergence_guard_history_is_bounded():
+    guard = _DivergenceGuard()
+    for k in range(1000):
+        guard.check(np.full(4, 1.0 + 1e-3 * k), k)
+    assert len(guard.history) == DIVERGENCE_WINDOW + 1
+    # the window reaches back exactly DIVERGENCE_WINDOW checks, no further
+    guard = _DivergenceGuard()
+    guard.check(np.full(4, 1e-3), 0)
+    for k in range(1, DIVERGENCE_WINDOW + 1):
+        guard.check(np.full(4, 1.0), k)
+    guard.check(np.full(4, 2e3), DIVERGENCE_WINDOW + 1)
+    for k in range(DIVERGENCE_WINDOW + 2, 2 * DIVERGENCE_WINDOW + 1):
+        guard.check(np.full(4, 2e3), k)
+    with pytest.raises(DivergenceError, match="at iteration 21"):
+        guard.check(np.full(4, 3e9), 2 * DIVERGENCE_WINDOW + 1)
+
+
 def test_step_rejects_nonfinite_state(tiny):
     plan = scalar_steps(tiny["L"], rho=1.0)
     spec = lsq_problem(tiny)
@@ -529,6 +558,16 @@ def test_cgls_breakdown_stops_cleanly(tiny):
     state, record = run_cgls(tiny["x_map"], np.zeros_like(tiny["g"]), k_max=5)
     assert record.iters == [0]
     assert np.all(state.x == 0.0)
+
+
+def test_cgls_early_stop_records_converged_iterate():
+    # on the identity CGLS converges in one step, then breaks down
+    g = np.linspace(1.0, 2.0, 8)
+    state, record = run_cgls(identity(8), g, k_max=50, reference=g, record_stride=10)
+    assert state.iteration == 1
+    assert record.iters == [0, 1]
+    assert np.array_equal(state.x, g)
+    assert record.image_rmse[-1] == 0.0
 
 
 def test_run_cppd_dispatch_and_kind_checks(tiny):

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pdtomo.ct import ImageGrid, build_geometry, projector
 from pdtomo.linop import LinearMap, diagonal, from_dense, identity, materialize_dense
 from pdtomo.spectral import (
     EigenSet,
@@ -55,7 +56,7 @@ def test_eigenset_shape_properties():
     assert es.k == 2 and es.n == 4
 
 
-# ------------------------------------------------------------- power method
+# ------------------------------------------------- power method and Lanczos
 
 
 def test_spectral_norm_matches_dense_svd(rng):
@@ -105,6 +106,32 @@ def test_leading_eigenpairs_stable_in_n_power():
 def test_leading_eigenpairs_rank_collapse():
     with pytest.raises(ValueError, match="rank is smaller than K"):
         leading_eigenpairs(from_dense(np.diag([1.0, 0.0])), 2, n_power=20)
+
+
+def test_leading_eigenpairs_rank_collapse_in_lanczos():
+    a = from_dense(np.diag([3.0, 2.0, 1.0] + [0.0] * 7))
+    assert leading_eigenpairs(a, 3).k == 3
+    with pytest.raises(ValueError, match="rank is smaller than K"):
+        leading_eigenpairs(a, 4)
+
+
+def test_leading_eigenpairs_match_dense_on_small_ct_operator():
+    x_map = projector(ImageGrid(16, 16, 18.0), build_geometry("desk-full", n_views=12, n_bins=24))
+    a = materialize_dense(x_map)
+    ew, ev = np.linalg.eigh(a.T @ a)
+    want = ew[::-1][:25]
+    es = leading_eigenpairs(x_map, 25, seed=7)
+    assert np.max(np.abs(es.values - want) / want) <= 1e-10
+    residual = es.vectors @ (a.T @ a) - es.values[:, None] * es.vectors
+    assert np.linalg.norm(residual, axis=1).max() <= 1e-10 * want[0]
+
+
+def test_leading_eigenpairs_repeat_bitwise_for_equal_seed():
+    a = from_dense(np.random.default_rng(4).standard_normal((30, 20)))
+    first = leading_eigenpairs(a, 5, seed=11)
+    second = leading_eigenpairs(a, 5, seed=11)
+    assert first.values.tobytes() == second.values.tobytes()
+    assert first.vectors.tobytes() == second.vectors.tobytes()
 
 
 def test_leading_eigenpairs_validation():
