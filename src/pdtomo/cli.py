@@ -16,11 +16,10 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,16 +51,11 @@ from .fileio import (
     save_pgm,
     save_raw,
     save_sinogram,
+    write_csv,
 )
 from .phantom import GRAY_WINDOWS, generate, gmi
 from .prox import Grid1D, lf_transform_numeric
-from .solver import (
-    DivergenceError,
-    ProblemSpec,
-    run_cgls,
-    run_cppd,
-    run_gd_lsq,
-)
+from .solver import ProblemSpec, run_cgls, run_cppd, run_gd_lsq
 from .spectral import (
     EIG_ENGINE,
     EigenSet,
@@ -258,6 +252,8 @@ _SWEEP_FIELDS = {"rho": ("rho", float), "K": ("k_eigs", int)}
 
 
 def _sweep_one(cfg: ExperimentConfig) -> dict:
+    """Pool entry point, pickled by name: it stays picklable when
+    `run_experiment` is wrapped (by a profiler, say)."""
     return run_experiment(cfg)
 
 
@@ -279,50 +275,32 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
         )
         runs.append((value, sub))
 
-    results: list[tuple[object, dict | None]] = []
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [(value, pool.submit(_sweep_one, sub)) for value, sub in runs]
-            for value, fut in futures:
-                try:
-                    results.append((value, fut.result()))
-                except Exception as exc:
-                    print(f"sweep {parameter}={value} failed: {exc}", file=sys.stderr)
-                    results.append((value, None))
-    else:
-        for value, sub in runs:
+    columns = ("final_image_rmse", "final_r_sigma", "final_r_tau")
+    rows = []
+    pool_cm = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()
+    with pool_cm as pool:
+        # with a pool every run is submitted up front and each job is a
+        # future; serially a job is the config, run when its turn comes
+        jobs = [pool.submit(_sweep_one, sub) if pool else sub for _, sub in runs]
+        for (value, _), job in zip(runs, jobs):
             try:
-                results.append((value, run_experiment(sub)))
+                res = job.result() if pool else run_experiment(job)
             except Exception as exc:
                 print(f"sweep {parameter}={value} failed: {exc}", file=sys.stderr)
-                results.append((value, None))
+                res = dict.fromkeys(columns, np.nan)
+            rows.append([value] + [res[key] for key in columns])
 
     summary = parent / "summary.csv"
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["value", "final_image_rmse", "final_r_sigma", "final_r_tau"])
-        for value, res in results:
-            if res is None:
-                writer.writerow([repr(value), "", "", ""])
-                continue
-            cells = [repr(value)]
-            for key in ("final_image_rmse", "final_r_sigma", "final_r_tau"):
-                v = res[key]
-                cells.append("" if np.isnan(v) else repr(float(v)))
-            writer.writerow(cells)
+    write_csv(summary, ("value",) + columns, rows)
     return summary
 
 
-def _write_trajectory_csv(path, traj, extra: dict | None = None):
-    radii = traj.radii
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        head = list(extra or {}) + ["iter", "x", "lambda", "radius"]
-        writer.writerow(head)
-        for k, (x, lam) in enumerate(traj.points):
-            row = [repr(v) for v in (extra or {}).values()]
-            row += [str(k), repr(float(np.ravel(x)[0])), repr(float(np.ravel(lam)[0])), repr(float(radii[k]))]
-            writer.writerow(row)
+def _write_trajectory_csv(path, traj):
+    rows = [
+        [k, float(np.ravel(x)[0]), float(np.ravel(lam)[0]), float(traj.radii[k])]
+        for k, (x, lam) in enumerate(traj.points)
+    ]
+    write_csv(path, ("iter", "x", "lambda", "radius"), rows)
 
 
 def _demo_lf_oracle(outdir: Path):
@@ -338,11 +316,8 @@ def _demo_lf_oracle(outdir: Path):
     }
     for name, (fx, analytic) in cases.items():
         numeric = lf_transform_numeric(Grid1D(x, fx), m).values
-        with open(outdir / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["m", "numeric", "analytic"])
-            for mi, ni, ai in zip(m, numeric, analytic):
-                writer.writerow([repr(float(mi)), repr(float(ni)), repr(float(ai))])
+        rows = zip(m, numeric, analytic)
+        write_csv(outdir / f"{name}.csv", ("m", "numeric", "analytic"), rows)
 
 
 def demo(name: str, outdir) -> list[Path]:
@@ -350,9 +325,9 @@ def demo(name: str, outdir) -> list[Path]:
     out = ensure_dir(outdir)
     written: list[Path] = []
 
-    def emit(fname, traj, extra=None):
+    def emit(fname, traj):
         path = out / fname
-        _write_trajectory_csv(path, traj, extra)
+        _write_trajectory_csv(path, traj)
         written.append(path)
 
     if name == "fe-s0":
@@ -375,29 +350,16 @@ def demo(name: str, outdir) -> list[Path]:
         for a in (0.01, 0.1, 1.0):
             mags = toysaddle.sigma_sweep(a, sigmas, k_max=100)
             path = out / f"cppd1d_a{a}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["sigma", "final_magnitude"])
-                for s, mag in zip(sigmas, mags):
-                    writer.writerow([repr(float(s)), repr(float(mag))])
+            write_csv(path, ("sigma", "final_magnitude"), zip(sigmas, mags))
             written.append(path)
     elif name == "perfect-pc":
         path = out / "perfect_pc.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["rho", "iter", "u", "lambda", "radius"])
-            for rho in (0.01, 1.0, 100.0):
-                traj = toysaddle.perfect_preconditioning([[1.5]], rho, [0.8], [-0.3])
-                for k, (u, lam) in enumerate(traj.points):
-                    writer.writerow(
-                        [
-                            repr(rho),
-                            str(k),
-                            repr(float(u[0])),
-                            repr(float(lam[0])),
-                            repr(float(traj.radii[k])),
-                        ]
-                    )
+        rows = []
+        for rho in (0.01, 1.0, 100.0):
+            traj = toysaddle.perfect_preconditioning([[1.5]], rho, [0.8], [-0.3])
+            for k, (u, lam) in enumerate(traj.points):
+                rows.append([rho, k, float(u[0]), float(lam[0]), float(traj.radii[k])])
+        write_csv(path, ("rho", "iter", "u", "lambda", "radius"), rows)
         written.append(path)
     elif name == "lf-oracle":
         _demo_lf_oracle(out)
@@ -523,7 +485,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DivergenceError, FloatingPointError, np.linalg.LinAlgError, RuntimeError) as exc:
+    # ConfigError, a ValueError, is caught above; DivergenceError is a
+    # RuntimeError and LinAlgError a ValueError
+    except (FloatingPointError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,4 +1,5 @@
-"""On-disk formats: raw images, windowed 16-bit PGM, sinograms, eigensets.
+"""On-disk formats: CSV tables, raw images, windowed 16-bit PGM,
+sinograms, eigensets.
 
 Raw image files are bare little-endian float64 vectors.  Sinograms and
 eigensets carry a small binary header; sinogram headers embed a digest
@@ -8,6 +9,7 @@ different scan.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 import struct
@@ -36,6 +38,22 @@ def geometry_digest(geom: FanBeamGeometry, grid: ImageGrid | None = None) -> byt
     if grid is not None:
         parts += [f"{grid.nx}", f"{grid.ny}", f"{grid.side_length!r}"]
     return hashlib.sha256("|".join(parts).encode()).digest()[:16]
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table: ints via str, floats via repr, NaN as an
+    empty cell (infinities stay `inf`)."""
+
+    def cell(v) -> str:
+        if isinstance(v, (int, np.integer)):
+            return str(v)
+        v = float(v)
+        return "" if np.isnan(v) else repr(v)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([cell(v) for v in row] for row in rows)
 
 
 def save_raw(path, values: np.ndarray) -> None:

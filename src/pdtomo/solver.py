@@ -7,16 +7,20 @@ for three problems built on the splitting min_x phi(A x):
   tvlsq:  phi(y) = 0.5 ||y_s - g||^2 + (beta/nu)||y_g||_1,  A = [X; nu D]
   tvclsq: phi(y) = 0.5 ||y_s - g||^2 + indicator(||y_g||_1 <= nu*gamma)
 
-plus gradient descent and CGLS baselines on the plain least-squares
-problem, and the shared convergence metrics: the splitting gap
-r_sigma = A x - y, the transversality residual r_tau = A^T lambda,
-image/data RMSE, the least-squares objective gradient, and the
-conditional primal-dual gap.
+The update has one body.  `cppd_step` applies it to a `SaddleState`,
+which carries the products A x and A^T lambda so that each step costs
+one forward and one adjoint apply, and rejects non-finite results;
+`run_cppd` applies it k_max times from zero under the cheaper
+image-norm divergence guard.  One metric function covers the
+splitting gap r_sigma = A x - y, the transversality residual
+r_tau = A^T lambda, image/data RMSE, the least-squares objective
+gradient, and the conditional primal-dual gap; gradient descent and
+CGLS baselines on the plain least-squares problem share its RMSE and
+gradient part.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,7 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linop import LinearMap, StackedMap, Vector, stack
+from .fileio import write_csv
+from .linop import LinearMap, Vector, stack
 from .prox import (
     clip_linf,
     default_l1_tol,
@@ -48,13 +53,21 @@ class DivergenceError(RuntimeError):
 @dataclass
 class SaddleState:
     """One primal-dual iterate: image x, dual lambda, extrapolated
-    image xbar, and the splitting variable y."""
+    image xbar, and the splitting variable y.
+
+    `ax` = A x and `atl` = A^T lambda are carried from step to step
+    (None: not yet computed); `beta` is the dual prox threshold of the
+    update that produced the state (zero without a root solve).
+    """
 
     x: np.ndarray
     lam: np.ndarray
     xbar: np.ndarray
     y: np.ndarray
     iteration: int = 0
+    ax: np.ndarray | None = None
+    atl: np.ndarray | None = None
+    beta: float = 0.0
 
 
 @dataclass
@@ -111,67 +124,43 @@ CSV_COLUMNS = (
     "beta",
 )
 
+# Every recorded metric; the CSV schema writes a subset.
+METRIC_NAMES = CSV_COLUMNS[1:] + ("constraint_gap", "prox_residual", "prox_tol")
+
 
 @dataclass
 class ConvergenceRecord:
-    """Per-iteration metric history; NaN marks undefined entries."""
+    """Per-iteration metric history, one list per column; NaN marks
+    undefined entries.  Columns read as attributes: `record.r_sigma`."""
 
-    iters: list[int] = field(default_factory=list)
-    r_sigma: list[float] = field(default_factory=list)
-    r_tau: list[float] = field(default_factory=list)
-    image_rmse: list[float] = field(default_factory=list)
-    data_rmse: list[float] = field(default_factory=list)
-    grad_mag: list[float] = field(default_factory=list)
-    cpd_gap: list[float] = field(default_factory=list)
-    beta: list[float] = field(default_factory=list)
-    constraint_gap: list[float] = field(default_factory=list)
-    prox_residual: list[float] = field(default_factory=list)
-    prox_tol: list[float] = field(default_factory=list)
+    columns: dict[str, list] = field(
+        default_factory=lambda: {name: [] for name in ("iters",) + METRIC_NAMES}
+    )
 
-    def append(
-        self,
-        iteration: int,
-        r_sigma=np.nan,
-        r_tau=np.nan,
-        image_rmse=np.nan,
-        data_rmse=np.nan,
-        grad_mag=np.nan,
-        cpd_gap=np.nan,
-        beta=np.nan,
-        constraint_gap=np.nan,
-        prox_residual=np.nan,
-        prox_tol=np.nan,
-    ):
-        self.iters.append(int(iteration))
-        self.r_sigma.append(float(r_sigma))
-        self.r_tau.append(float(r_tau))
-        self.image_rmse.append(float(image_rmse))
-        self.data_rmse.append(float(data_rmse))
-        self.grad_mag.append(float(grad_mag))
-        self.cpd_gap.append(float(cpd_gap))
-        self.beta.append(float(beta))
-        self.constraint_gap.append(float(constraint_gap))
-        self.prox_residual.append(float(prox_residual))
-        self.prox_tol.append(float(prox_tol))
+    def __getattr__(self, name: str) -> list:
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def append(self, iteration: int, **values) -> None:
+        unknown = values.keys() - METRIC_NAMES
+        if unknown:
+            raise TypeError(f"unknown metric(s) {sorted(unknown)}")
+        self.columns["iters"].append(int(iteration))
+        for name in METRIC_NAMES:
+            self.columns[name].append(float(values.get(name, np.nan)))
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray(getattr(self, name), dtype=float)
+        return np.asarray(self.columns[name], dtype=float)
 
     def at_iteration(self, iteration: int, name: str) -> float:
-        idx = self.iters.index(iteration)
-        return getattr(self, name)[idx]
+        return self.columns[name][self.iters.index(iteration)]
 
     def to_csv(self, path) -> None:
         """Write the fixed-schema CSV; NaN cells are left empty."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for i, it in enumerate(self.iters):
-                row = [str(it)]
-                for name in CSV_COLUMNS[1:]:
-                    v = getattr(self, name)[i]
-                    row.append("" if np.isnan(v) else repr(float(v)))
-                writer.writerow(row)
+        names = ("iters",) + CSV_COLUMNS[1:]
+        write_csv(path, CSV_COLUMNS, zip(*(self.columns[n] for n in names)))
 
 
 def image_rmse(x: Vector, reference: Vector | None, active: np.ndarray | None) -> float:
@@ -184,7 +173,7 @@ def image_rmse(x: Vector, reference: Vector | None, active: np.ndarray | None) -
     return float(np.linalg.norm(diff) / np.sqrt(diff.size))
 
 
-def _cpd_gap(problem: ProblemSpec, ax: Vector, lam: Vector, offsets) -> tuple[float, float]:
+def _cpd_gap(problem: ProblemSpec, ax: Vector, lam: Vector) -> tuple[float, float]:
     """Bounded part of the primal-dual gap, plus the indicator-constraint
     distance tracked separately (NaN when the problem has none).
 
@@ -195,7 +184,7 @@ def _cpd_gap(problem: ProblemSpec, ax: Vector, lam: Vector, offsets) -> tuple[fl
     if problem.kind == "lsq":
         gap = 0.5 * np.sum((ax - g) ** 2) + 0.5 * np.sum(lam**2) + lam @ g
         return float(gap), np.nan
-    m_s = offsets[1]
+    m_s = problem.x_map.range_dim
     ax_s, ax_g = ax[:m_s], ax[m_s:]
     lam_s, lam_g = lam[:m_s], lam[m_s:]
     data_part = 0.5 * np.sum((ax_s - g) ** 2) + 0.5 * np.sum(lam_s**2) + lam_s @ g
@@ -212,6 +201,31 @@ def _cpd_gap(problem: ProblemSpec, ax: Vector, lam: Vector, offsets) -> tuple[fl
     gap = data_part + radius * np.abs(lam_g).max(initial=0.0)
     dist = max(0.0, float(np.abs(ax_g).sum() - radius))
     return float(gap), dist
+
+
+def _fit_metrics(x, resid, grad, reference, active) -> dict:
+    """Image RMSE, data RMSE and least-squares gradient norm, given the
+    data residual X x - g and the gradient X^T resid."""
+    return {
+        "image_rmse": image_rmse(x, reference, active),
+        "data_rmse": float(np.linalg.norm(resid) / np.sqrt(resid.size)),
+        "grad_mag": float(np.linalg.norm(grad)),
+    }
+
+
+def _pd_metrics(problem: ProblemSpec, x, lam, y, ax, atl, reference) -> dict:
+    """All primal-dual metrics from an iterate and its products
+    ax = A x and atl = A^T lambda; one X^T apply for the gradient."""
+    resid = ax[: problem.x_map.range_dim] - problem.g
+    grad = problem.x_map.adjoint(resid)
+    gap, dist = _cpd_gap(problem, ax, lam)
+    return {
+        "r_sigma": float(np.linalg.norm(ax - y)),
+        "r_tau": float(np.linalg.norm(atl)),
+        **_fit_metrics(x, resid, grad, reference, problem.active),
+        "cpd_gap": gap,
+        "constraint_gap": dist,
+    }
 
 
 ProxFn = Callable[[np.ndarray, object], tuple[np.ndarray, float]]
@@ -259,46 +273,70 @@ def make_prox(problem: ProblemSpec) -> ProxFn:
     return prox_tvclsq
 
 
+def _advance(
+    state: SaddleState, plan: StepPlan, prox: ProxFn, a_map: LinearMap, inv_sigma
+) -> SaddleState:
+    """The CPPD update (theta = 1), shared by cppd_step and run_cppd.
+
+    Missing products are computed first.  The new state carries
+    A x+ = (A xbar + A x) / 2 and A^T lambda+, so a step with carried
+    products costs one forward and one adjoint apply.
+    """
+    atl = a_map.adjoint(state.lam) if state.atl is None else state.atl
+    ax = a_map(state.x) if state.ax is None else state.ax
+    x_new = state.x - plan.apply_tau(atl)
+    xbar = 2.0 * x_new - state.x
+    axbar = a_map(xbar)
+    lam_new, beta = prox(state.lam + plan.sigma * axbar, plan.sigma)
+    y_new = (state.lam - lam_new) * inv_sigma + axbar
+    return SaddleState(
+        x_new,
+        lam_new,
+        xbar,
+        y_new,
+        state.iteration + 1,
+        ax=0.5 * (axbar + ax),
+        atl=a_map.adjoint(lam_new),
+        beta=beta,
+    )
+
+
 def cppd_step(
-    state: SaddleState,
-    plan: StepPlan,
-    prox: ProxFn,
-    a_map: LinearMap,
-    theta: float = 1.0,
+    state: SaddleState, plan: StepPlan, prox: ProxFn, a_map: LinearMap
 ) -> SaddleState:
     """One primal-dual update (x first, then extrapolation, dual prox,
-    and the appended splitting-variable update)."""
-    x_new = state.x - plan.apply_tau(a_map.adjoint(state.lam))
-    xbar = (1.0 + theta) * x_new - theta * state.x
-    axbar = a_map(xbar)
-    lam_new, _ = prox(state.lam + plan.sigma * axbar, plan.sigma)
-    y_new = (state.lam - lam_new) * plan.sigma_reciprocal() + axbar
-    for name, v in (("x", x_new), ("lambda", lam_new), ("y", y_new)):
+    and the appended splitting-variable update); raises DivergenceError
+    on a non-finite result."""
+    new = _advance(state, plan, prox, a_map, plan.sigma_reciprocal())
+    for name, v in (("x", new.x), ("lambda", new.lam), ("y", new.y)):
         if not np.all(np.isfinite(v)):
-            raise DivergenceError(
-                f"non-finite {name} at iteration {state.iteration + 1}"
-            )
-    return SaddleState(x_new, lam_new, xbar, y_new, state.iteration + 1)
+            raise DivergenceError(f"non-finite {name} at iteration {new.iteration}")
+    return new
 
 
 def metrics(
     state: SaddleState, problem: ProblemSpec, reference: Vector | None = None
 ) -> dict:
-    """All convergence metrics of a state, recomputed from scratch."""
+    """All convergence metrics of a state, with A x and A^T lambda
+    recomputed from scratch."""
     a_map = problem.operator()
-    offsets = a_map.offsets if isinstance(a_map, StackedMap) else (0, a_map.range_dim)
-    ax = a_map(state.x)
-    m_s = offsets[1]
-    resid = ax[:m_s] - problem.g
-    gap, dist = _cpd_gap(problem, ax, state.lam, offsets)
+    ax, atl = a_map(state.x), a_map.adjoint(state.lam)
+    return _pd_metrics(problem, state.x, state.lam, state.y, ax, atl, reference)
+
+
+def _prox_check(
+    problem: ProblemSpec, prev: SaddleState, new: SaddleState, plan: StepPlan, a_map
+) -> dict:
+    """Distance of the l1-ball dual update prev -> new from the exact
+    sort-based projection, with the root-solve tolerance.  The dual
+    argument is rebuilt bit for bit at the cost of one forward apply."""
+    m_s = problem.x_map.range_dim
+    v_g = (prev.lam + plan.sigma * a_map(new.xbar))[m_s:]
+    radius = problem.nu * problem.gamma * plan.sigma
+    ref_g = v_g - project_l1_ball_sorted(v_g, radius).value
     return {
-        "r_sigma": float(np.linalg.norm(ax - state.y)),
-        "r_tau": float(np.linalg.norm(a_map.adjoint(state.lam))),
-        "image_rmse": image_rmse(state.x, reference, problem.active),
-        "data_rmse": float(np.linalg.norm(resid) / np.sqrt(resid.size)),
-        "grad_mag": float(np.linalg.norm(problem.x_map.adjoint(resid))),
-        "cpd_gap": gap,
-        "constraint_gap": dist,
+        "prox_residual": float(np.linalg.norm(new.lam[m_s:] - ref_g)),
+        "prox_tol": problem.l1_tol if problem.l1_tol is not None else default_l1_tol(v_g),
     }
 
 
@@ -322,75 +360,50 @@ class _DivergenceGuard:
                 )
 
 
-def _run_primal_dual(
+def run_cppd(
     problem: ProblemSpec,
     plan: StepPlan,
     k_max: int,
-    reference: Vector | None,
-    record_stride: int,
-    validate_prox: bool,
+    reference: Vector | None = None,
+    record_stride: int = 1,
+    validate_prox: bool = False,
 ) -> tuple[SaddleState, ConvergenceRecord]:
+    """k_max primal-dual steps from zero, recording the metrics at
+    iteration 0, every record_stride-th iteration and the last.
+
+    With validate_prox=True a tvclsq dual update is cross-checked at
+    each recorded iteration against the exact sort-based l1-ball
+    projection and the residual recorded.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     a_map = problem.operator()
-    offsets = a_map.offsets if isinstance(a_map, StackedMap) else (0, a_map.range_dim)
-    m_s = offsets[1]
     prox = make_prox(problem)
-    sigma = plan.sigma
     inv_sigma = plan.sigma_reciprocal()
-
+    check_prox = validate_prox and problem.kind == "tvclsq"
     n, m = a_map.domain_dim, a_map.range_dim
-    x = np.zeros(n)
-    lam = np.zeros(m)
-    y = np.zeros(m)
-    ax = np.zeros(m)
-    atl = np.zeros(n)
+    zero_x, zero_lam = np.zeros(n), np.zeros(m)
+    state = SaddleState(zero_x, zero_lam, zero_x, zero_lam, ax=zero_lam, atl=zero_x)
     guard = _DivergenceGuard()
     record = ConvergenceRecord()
 
-    def emit(iteration: int, beta_now: float, prox_res: float, prox_tol: float):
-        resid = ax[:m_s] - problem.g
-        gap, dist = _cpd_gap(problem, ax, lam, offsets)
+    def emit(s: SaddleState, **extra):
         record.append(
-            iteration,
-            r_sigma=np.linalg.norm(ax - y),
-            r_tau=np.linalg.norm(atl),
-            image_rmse=image_rmse(x, reference, problem.active),
-            data_rmse=np.linalg.norm(resid) / np.sqrt(resid.size),
-            grad_mag=np.linalg.norm(problem.x_map.adjoint(resid)),
-            cpd_gap=gap,
-            beta=beta_now if problem.kind == "tvclsq" else np.nan,
-            constraint_gap=dist,
-            prox_residual=prox_res,
-            prox_tol=prox_tol,
+            s.iteration,
+            **_pd_metrics(problem, s.x, s.lam, s.y, s.ax, s.atl, reference),
+            beta=s.beta if problem.kind == "tvclsq" else np.nan,
+            **extra,
         )
 
-    emit(0, 0.0, np.nan, np.nan)
+    emit(state)
     for k in range(1, k_max + 1):
-        x_new = x - plan.apply_tau(atl)
-        xbar = 2.0 * x_new - x
-        axbar = a_map(xbar)
-        dual_arg = lam + sigma * axbar
-        lam_new, beta_now = prox(dual_arg, sigma)
-        prox_res = np.nan
-        prox_tol = np.nan
-        if validate_prox and problem.kind == "tvclsq":
-            # independent check of the dual update against the exact
-            # sort-based ball projection
-            v_g = dual_arg[m_s:]
-            radius = problem.nu * problem.gamma * sigma
-            ref_g = v_g - project_l1_ball_sorted(v_g, radius).value
-            prox_res = float(np.linalg.norm(lam_new[m_s:] - ref_g))
-            prox_tol = problem.l1_tol if problem.l1_tol is not None else default_l1_tol(v_g)
-        y = (lam - lam_new) * inv_sigma + axbar
-        ax = 0.5 * (axbar + ax)
-        atl = a_map.adjoint(lam_new)
-        x, lam = x_new, lam_new
-        guard.check(x, k)
+        prev = state
+        state = _advance(prev, plan, prox, a_map, inv_sigma)
+        guard.check(state.x, k)
         if k % record_stride == 0 or k == k_max:
-            emit(k, beta_now, prox_res, prox_tol)
-
-    return SaddleState(x, lam, xbar, y, k_max), record
+            checked = _prox_check(problem, prev, state, plan, a_map) if check_prox else {}
+            emit(state, **checked)
+    return state, record
 
 
 def run_cppd_lsq(
@@ -403,7 +416,7 @@ def run_cppd_lsq(
     """Primal-dual iteration on the plain least-squares problem."""
     if problem.kind != "lsq":
         raise ValueError("run_cppd_lsq expects an lsq problem")
-    return _run_primal_dual(problem, plan, k_max, reference, record_stride, False)
+    return run_cppd(problem, plan, k_max, reference, record_stride)
 
 
 def run_cppd_tvlsq(
@@ -416,7 +429,7 @@ def run_cppd_tvlsq(
     """Primal-dual iteration on TV-penalized least squares."""
     if problem.kind != "tvlsq":
         raise ValueError("run_cppd_tvlsq expects a tvlsq problem")
-    return _run_primal_dual(problem, plan, k_max, reference, record_stride, False)
+    return run_cppd(problem, plan, k_max, reference, record_stride)
 
 
 def run_cppd_tvclsq(
@@ -427,33 +440,10 @@ def run_cppd_tvclsq(
     record_stride: int = 1,
     validate_prox: bool = False,
 ) -> tuple[SaddleState, ConvergenceRecord]:
-    """Primal-dual iteration on TV-constrained least squares.
-
-    With validate_prox=True every dual update is cross-checked against
-    the exact sort-based l1-ball projection and the residual recorded.
-    """
+    """Primal-dual iteration on TV-constrained least squares."""
     if problem.kind != "tvclsq":
         raise ValueError("run_cppd_tvclsq expects a tvclsq problem")
-    return _run_primal_dual(problem, plan, k_max, reference, record_stride, validate_prox)
-
-
-def run_cppd(
-    problem: ProblemSpec,
-    plan: StepPlan,
-    k_max: int,
-    reference: Vector | None = None,
-    record_stride: int = 1,
-    validate_prox: bool = False,
-) -> tuple[SaddleState, ConvergenceRecord]:
-    """Dispatch to the problem-specific run function."""
-    runner = {
-        "lsq": run_cppd_lsq,
-        "tvlsq": run_cppd_tvlsq,
-        "tvclsq": run_cppd_tvclsq,
-    }[problem.kind]
-    if problem.kind == "tvclsq":
-        return runner(problem, plan, k_max, reference, record_stride, validate_prox)
-    return runner(problem, plan, k_max, reference, record_stride)
+    return run_cppd(problem, plan, k_max, reference, record_stride, validate_prox)
 
 
 def run_gd_lsq(
@@ -482,25 +472,16 @@ def run_gd_lsq(
     x = np.zeros(x_map.domain_dim)
     guard = _DivergenceGuard()
     record = ConvergenceRecord()
-
-    def emit(iteration, resid, grad):
-        record.append(
-            iteration,
-            image_rmse=image_rmse(x, reference, problem.active),
-            data_rmse=np.linalg.norm(resid) / np.sqrt(resid.size),
-            grad_mag=np.linalg.norm(grad),
-        )
-
     resid = x_map(x) - g
     grad = x_map.adjoint(resid)
-    emit(0, resid, grad)
+    record.append(0, **_fit_metrics(x, resid, grad, reference, problem.active))
     for k in range(1, k_max + 1):
         x = x - step * grad
         guard.check(x, k)
         resid = x_map(x) - g
         grad = x_map.adjoint(resid)
         if k % record_stride == 0 or k == k_max:
-            emit(k, resid, grad)
+            record.append(k, **_fit_metrics(x, resid, grad, reference, problem.active))
     state = SaddleState(x, np.zeros_like(g), x.copy(), x_map(x), k_max)
     return state, record
 
@@ -533,12 +514,8 @@ def run_cgls(
 
     def emit(iteration):
         resid = operator(x) - g
-        record.append(
-            iteration,
-            image_rmse=image_rmse(x, reference, active),
-            data_rmse=np.linalg.norm(resid) / np.sqrt(resid.size),
-            grad_mag=np.linalg.norm(operator.adjoint(resid)),
-        )
+        grad = operator.adjoint(resid)
+        record.append(iteration, **_fit_metrics(x, resid, grad, reference, active))
 
     emit(0)
     done = 0

@@ -214,6 +214,20 @@ def test_sweep_summary_and_failed_value(tmp_path, capsys):
     assert rows[1][1] == sub[-1][3]
 
 
+def test_sweep_pool_matches_serial_bytewise(tmp_path, capsys):
+    outputs = {}
+    for workers in (1, 2):
+        cfg = tiny_cfg(tmp_path / f"w{workers}", workers=workers)
+        summary = cli.sweep(cfg, "rho", ["0.5", "2.0", "-1.0"])
+        assert "sweep rho=-1.0 failed" in capsys.readouterr().err
+        outputs[workers] = [summary.read_bytes()] + [
+            (tmp_path / f"w{workers}" / f"rho_{v}" / "convergence.csv").read_bytes()
+            for v in ("0.5", "2.0")
+        ]
+    assert outputs[2] == outputs[1]
+    assert read_csv(tmp_path / "w2" / "summary.csv")[3] == ["-1.0", "", "", ""]
+
+
 def test_sweep_over_rank_uses_lowrank_plans(tmp_path):
     cfg = tiny_cfg(
         tmp_path / "swk",
@@ -318,6 +332,16 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
         code = cli.main(args)
     assert code == 2
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_main_rank_below_k_exits_numerical(tmp_path, monkeypatch, capsys):
+    # 2 views x 4 bins = 8 rays, so A^T A has rank < 10 = K
+    monkeypatch.chdir(tmp_path)
+    args = ["eig", "--set", "nx=16", "--set", "n_views=2", "--set", "n_bins=4"]
+    assert cli.main(args + ["--set", "k_eigs=10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "rank" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_main_usage_errors_exit_code(tmp_path, capsys):

@@ -14,6 +14,7 @@ from pdtomo.fileio import (
     save_pgm,
     save_raw,
     save_sinogram,
+    write_csv,
 )
 from pdtomo.spectral import EigenSet
 
@@ -138,3 +139,12 @@ def test_ensure_dir_creates_nested(tmp_path):
     assert out.is_dir()
     # idempotent
     assert ensure_dir(target) == out
+
+
+def test_write_csv_cell_formats(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [[3, np.int64(4), 0.1, np.float64(1 / 3), np.nan, np.inf, -np.inf]]
+    write_csv(path, ("a", "b", "c", "d", "e", "f", "g"), rows)
+    assert path.read_text() == (
+        "a,b,c,d,e,f,g\n3,4,0.1,0.3333333333333333,,inf,-inf\n"
+    )

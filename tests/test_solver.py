@@ -31,7 +31,14 @@ from pdtomo.solver import (
     run_cppd_tvlsq,
     run_gd_lsq,
 )
-from pdtomo.spectral import StepPlan, diagonal_steps, scalar_steps, spectral_norm
+from pdtomo.linop import LinearMap
+from pdtomo.spectral import (
+    StepPlan,
+    diagonal_steps,
+    lowrank_steps,
+    scalar_steps,
+    spectral_norm,
+)
 from pdtomo.toysaddle import cppd_matrix
 
 
@@ -207,6 +214,29 @@ def test_diagonal_plan_loop_equals_repeated_steps(tiny):
     manual = chain_steps(spec, plan, 12)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
+
+
+def test_lowrank_plan_loop_equals_repeated_steps(tiny):
+    # the primal step is the matrix T, applied as a LinearMap
+    spec = lsq_problem(tiny)
+    plan = lowrank_steps(spec.operator(), 4, rho=0.5)
+    assert isinstance(plan.tau, LinearMap)
+    final, _ = run_cppd_lsq(spec, plan, k_max=12)
+    manual = chain_steps(spec, plan, 12)
+    assert np.array_equal(final.x, manual.x)
+    assert np.array_equal(final.lam, manual.lam)
+    assert np.array_equal(final.y, manual.y)
+
+
+def test_step_carries_products_exactly(tiny):
+    # the carried A x and A^T lambda equal fresh applies of the operator
+    plan = scalar_steps(tiny["L"], rho=0.5)
+    spec = lsq_problem(tiny)
+    state = chain_steps(spec, plan, 7)
+    a_map = spec.operator()
+    assert state.iteration == 7
+    assert np.allclose(state.ax, a_map(state.x), rtol=1e-12, atol=1e-12)
+    assert np.array_equal(state.atl, a_map.adjoint(state.lam))
 
 
 # ------------------------------------------------------- residual identities
@@ -495,6 +525,17 @@ def test_csv_empty_cells_for_cgls(tiny, tmp_path):
         cells = row.split(",")
         assert cells[1] == "" and cells[2] == "" and cells[7] == ""
         assert cells[5] != ""
+
+
+def test_record_rejects_unknown_metric():
+    record = ConvergenceRecord()
+    with pytest.raises(TypeError, match="r_sigam"):
+        record.append(0, r_sigam=1.0)
+    assert record.iters == [] and record.r_sigma == []
+    record.append(0, r_sigma=1.0)
+    assert record.r_sigma == [1.0] and np.isnan(record.cpd_gap[0])
+    with pytest.raises(AttributeError):
+        record.r_sigam
 
 
 def test_record_lookup_helpers(tiny):
