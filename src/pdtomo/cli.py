@@ -112,7 +112,6 @@ def assemble_problem(cfg: ExperimentConfig, grid, geom, phantom) -> ProblemSpec:
     x_map = projector(grid, geom)
     g = x_map(phantom.image)
     active = fov_active(grid)
-    l1_tol = cfg.l1_tol if cfg.l1_tol > 0 else None
     if cfg.problem == "lsq":
         return ProblemSpec("lsq", x_map, g, active=active)
     d_map = gradient(grid)
@@ -131,7 +130,6 @@ def assemble_problem(cfg: ExperimentConfig, grid, geom, phantom) -> ProblemSpec:
         gamma=_resolve_gamma(cfg, phantom.tv_value),
         nu=nu,
         active=active,
-        l1_tol=l1_tol,
     )
 
 

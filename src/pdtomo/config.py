@@ -3,7 +3,8 @@
 Config files are plain text, one `key = value` per line, `#` comments;
 the same format is echoed back as the run manifest (plus a `version`
 line, which the parser accepts and ignores), so any manifest can be
-replayed as a config.
+replayed as a config.  The parser also ignores the tolerance key of the
+former bisection l1-ball prox, so manifests that carry it still replay.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ class ExperimentConfig:
     (constraint set to the generated phantom's total variation).
     `n_views`, `n_bins`, `arc` override the geometry preset when
     positive.  `blur_width` > 0 smooths low-rank eigenvectors with a
-    Gaussian of that pixel width.  `l1_tol` <= 0 selects the default
-    root-solve tolerance.
+    Gaussian of that pixel width.
     """
 
     nx: int = 64
@@ -59,7 +59,6 @@ class ExperimentConfig:
     record_stride: int = 1
     seed: int = 7
     power_iters: int = 100
-    l1_tol: float = 0.0
     validate_prox: bool = False
     workers: int = 1
     outdir: str = "results/run"
@@ -100,6 +99,7 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_IGNORED_KEYS = ("version", "l1_tol")
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -113,7 +113,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "version":
+        if key in _IGNORED_KEYS:
             continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")

@@ -1,9 +1,10 @@
 """Proximal mappings and convex-conjugate utilities.
 
 Covers the dual-update proxes used by the primal-dual solvers (quadratic
-data-fit conjugate, l-inf clip, soft threshold, l1-ball projection by
-bisection) plus a numeric 1D Legendre-Fenchel transform used as a test
-oracle.  All mappings are pure functions.
+data-fit conjugate, l-inf clip, soft threshold, exact l1-ball projection
+by Michelot's finite active-set iteration) plus a numeric 1D
+Legendre-Fenchel transform used as a test oracle.  All mappings are pure
+functions.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import numpy as np
 
 from .linop import Vector
 
-# Bisection defaults: absolute tolerance scale and iteration cap.
+# Scale of the fixed bound that `validate_prox` records for the l1 prox.
 L1_TOL_SCALE = 1e-10
-L1_MAX_ITERS = 200
 
 
 @dataclass
 class ProxResult:
-    """Prox output plus the scalar the root-finder solved for (if any)."""
+    """Prox output plus the threshold it applied (zero if none)."""
 
     value: np.ndarray
     aux: float = 0.0
@@ -90,49 +90,66 @@ def shrink(v: Vector, beta: float) -> np.ndarray:
 
 
 def default_l1_tol(v: Vector) -> float:
+    """Bound on an l1 prox's distance from the sort-based reference, as
+    recorded by `validate_prox`: 1e-10 relative to max(1, ||v||_1)."""
     return L1_TOL_SCALE * max(1.0, float(np.abs(v).sum()))
 
 
-def project_l1_ball(v: Vector, r: float, tol: float | None = None) -> ProxResult:
-    """Euclidean projection onto the l1 ball of radius r by bisection.
+def _l1_norm_checked(a: np.ndarray) -> float:
+    """sum(a) for a = |v|; a non-finite v is an error."""
+    total = float(a.sum())
+    if not np.isfinite(total):
+        raise ValueError("cannot project a non-finite vector")
+    return total
 
-    Solves ||shrink(v, beta)||_1 = r for beta in [0, ||v||_inf]; the
-    result is shrink(v, beta).  Inputs already inside the ball return
-    unchanged with beta = 0.
+
+def _l1_threshold(a: np.ndarray, total: float, r: float) -> float:
+    """Threshold beta >= 0 with sum(max(a - beta, 0)) = r, for a >= 0
+    with sum(a) = total > r > 0.
+
+    Michelot's iteration (see Condat 2016): beta is the mean excess of
+    the active set over r, and entries at or below beta leave the set
+    until none does.  beta only grows, so a dropped entry never returns
+    and the loop ends within a.size passes.  Two guards keep this under
+    rounding: beta is never lowered (with r within rounding of ||a||_1
+    the shrunk set's sum can round below r, and beta below zero), and
+    the set never empties (with r below the rounding of the active sum
+    every entry can look dropped; the largest is always active, so the
+    current beta is kept).
+    """
+    act = a
+    beta = (total - r) / a.size
+    while True:
+        keep = act[act > beta]
+        if keep.size in (0, act.size):
+            return float(beta)
+        act = keep
+        beta = max(beta, (act.sum() - r) / act.size)
+
+
+def project_l1_ball(v: Vector, r: float) -> ProxResult:
+    """Exact Euclidean projection onto the l1 ball of radius r.
+
+    The result is shrink(v, beta), with the threshold beta found in a
+    few passes by `_l1_threshold`.  Inputs already inside the ball
+    return unchanged with beta = 0.
     """
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot project a non-finite vector")
     if not r > 0:
         raise ValueError("ball radius must be positive")
-    if tol is None:
-        tol = default_l1_tol(v)
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-
     a = np.abs(v)
-    if a.sum() <= r:
+    total = _l1_norm_checked(a)
+    if total <= r:
         return ProxResult(v.copy(), aux=0.0)
-
-    lo, hi = 0.0, float(a.max())
-    beta = 0.0
-    for _ in range(L1_MAX_ITERS):
-        beta = 0.5 * (lo + hi)
-        gap = np.maximum(a - beta, 0.0).sum() - r
-        if abs(gap) <= tol:
-            break
-        if gap > 0:
-            lo = beta
-        else:
-            hi = beta
+    beta = _l1_threshold(a, total, r)
     return ProxResult(shrink(v, beta), aux=beta)
 
 
 def project_l1_ball_sorted(v: Vector, r: float) -> ProxResult:
     """Exact l1-ball projection via the sort-and-threshold construction.
 
-    Reference implementation used to cross-check the bisection path; the
-    solvers never call it.
+    Reference implementation used to cross-check `project_l1_ball` and
+    the solvers' dual prox (`validate_prox`); the solvers never call it.
     """
     v = np.asarray(v, dtype=float)
     a = np.abs(v)
@@ -141,30 +158,36 @@ def project_l1_ball_sorted(v: Vector, r: float) -> ProxResult:
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     k = np.arange(1, a.size + 1)
-    # largest k with u_k > (sum of top k - r) / k
+    # largest k with u_k > (sum of top k - r) / k; the largest entry
+    # always qualifies, also when r is below the rounding of ||v||_1,
+    # and beta > 0 also when r is within rounding of ||v||_1
     theta_cand = (css - r) / k
-    k_star = np.nonzero(u > theta_cand)[0].max()
-    beta = float(theta_cand[k_star])
+    k_star = np.flatnonzero(u > theta_cand).max(initial=0)
+    beta = max(float(theta_cand[k_star]), 0.0)
     return ProxResult(shrink(v, beta), aux=beta)
 
 
-def prox_tvc_conjugate(lam_g: Vector, sigma: float, radius_times_sigma: float,
-                       tol: float | None = None) -> ProxResult:
+def prox_tvc_conjugate(
+    lam_g: Vector, sigma: float, radius_times_sigma: float
+) -> ProxResult:
     """Prox of the conjugate of the l1-ball indicator, via Moreau.
 
     prox = lam_g - projection of lam_g onto the l1 ball of radius
-    nu*gamma*sigma.  When lam_g is already inside the ball the output is
-    exactly zero (and the reported threshold beta is zero).
+    nu*gamma*sigma, which is the clip of lam_g to [-beta, beta] with the
+    projection's threshold beta.  When lam_g is already inside the ball
+    the output is exactly zero (and the reported beta is zero).
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if not radius_times_sigma > 0:
         raise ValueError("ball radius must be positive")
     lam_g = np.asarray(lam_g, dtype=float)
-    if np.abs(lam_g).sum() <= radius_times_sigma:
+    a = np.abs(lam_g)
+    total = _l1_norm_checked(a)
+    if total <= radius_times_sigma:
         return ProxResult(np.zeros_like(lam_g), aux=0.0)
-    proj = project_l1_ball(lam_g, radius_times_sigma, tol=tol)
-    return ProxResult(lam_g - proj.value, aux=proj.aux)
+    beta = _l1_threshold(a, total, radius_times_sigma)
+    return ProxResult(np.clip(lam_g, -beta, beta), aux=beta)
 
 
 def lf_transform_numeric(f: Grid1D, m_grid: Vector) -> Grid1D:

@@ -56,8 +56,9 @@ class SaddleState:
     image xbar, and the splitting variable y.
 
     `ax` = A x and `atl` = A^T lambda are carried from step to step
-    (None: not yet computed); `beta` is the dual prox threshold of the
-    update that produced the state (zero without a root solve).
+    (None: not yet computed); `beta` is the l1-ball dual prox threshold
+    of the update that produced the state (zero for problems without
+    that prox, and when the dual argument lies inside the ball).
     """
 
     x: np.ndarray
@@ -77,7 +78,7 @@ class ProblemSpec:
     `x_map` is the (masked) projector; `d_map` the gradient operator for
     the TV problems; `nu` the stack weight making X and nu*D comparable
     in magnitude; `active` an optional pixel mask restricting the image
-    RMSE.  `l1_tol` overrides the dual root-solve tolerance (tvclsq).
+    RMSE.
     """
 
     kind: str
@@ -88,7 +89,6 @@ class ProblemSpec:
     gamma: float | None = None
     nu: float = 1.0
     active: np.ndarray | None = None
-    l1_tol: float | None = None
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
@@ -233,8 +233,8 @@ ProxFn = Callable[[np.ndarray, object], tuple[np.ndarray, float]]
 
 def make_prox(problem: ProblemSpec) -> ProxFn:
     """Dual prox for the problem: maps (lambda + sigma*A xbar, sigma) to
-    the updated dual and the root-solve threshold beta (zero when the
-    problem has no root solve)."""
+    the updated dual and the l1-ball threshold beta (zero when the
+    problem has no l1-ball prox)."""
     if problem.kind == "lsq":
 
         def prox_lsq(v, sigma):
@@ -264,9 +264,7 @@ def make_prox(problem: ProblemSpec) -> ProxFn:
             raise ValueError("the l1-ball dual prox needs a scalar sigma")
         out = np.empty_like(v)
         out[:m_s] = prox_lsq_conjugate(v[:m_s], sigma, problem.g)
-        res = prox_tvc_conjugate(
-            v[m_s:], sigma, problem.nu * problem.gamma * sigma, tol=problem.l1_tol
-        )
+        res = prox_tvc_conjugate(v[m_s:], sigma, problem.nu * problem.gamma * sigma)
         out[m_s:] = res.value
         return out, res.aux
 
@@ -327,16 +325,17 @@ def metrics(
 def _prox_check(
     problem: ProblemSpec, prev: SaddleState, new: SaddleState, plan: StepPlan, a_map
 ) -> dict:
-    """Distance of the l1-ball dual update prev -> new from the exact
-    sort-based projection, with the root-solve tolerance.  The dual
-    argument is rebuilt bit for bit at the cost of one forward apply."""
+    """Distance of the l1-ball dual update prev -> new from the
+    sort-based projection, with the fixed bound `default_l1_tol`.  The
+    dual argument is rebuilt bit for bit at the cost of one forward
+    apply."""
     m_s = problem.x_map.range_dim
     v_g = (prev.lam + plan.sigma * a_map(new.xbar))[m_s:]
     radius = problem.nu * problem.gamma * plan.sigma
     ref_g = v_g - project_l1_ball_sorted(v_g, radius).value
     return {
         "prox_residual": float(np.linalg.norm(new.lam[m_s:] - ref_g)),
-        "prox_tol": problem.l1_tol if problem.l1_tol is not None else default_l1_tol(v_g),
+        "prox_tol": default_l1_tol(v_g),
     }
 
 

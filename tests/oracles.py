@@ -34,7 +34,9 @@ def l1_project_by_sort(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     cumsum = np.cumsum(mags)
     k = np.arange(1, v.size + 1)
     candidates = (cumsum - r) / k
-    rho = np.max(np.nonzero(mags > candidates)[0])
+    # the largest magnitude always qualifies, also when r is below the
+    # rounding of ||v||_1
+    rho = np.max(np.nonzero(mags > candidates)[0], initial=0)
     beta = candidates[rho]
     return np.sign(v) * np.maximum(np.abs(v) - beta, 0.0), float(beta)
 

@@ -169,7 +169,7 @@ def test_03_operator_adjoints_and_fov_count(desk, oversampled):
 
 def test_04_prox_oracles():
     rng = np.random.default_rng(4)
-    # bisection projection vs the exact sort-based threshold
+    # finite active-set projection vs the exact sort-based threshold
     worst = 0.0
     for _ in range(1000):
         v = rng.standard_normal(int(rng.integers(1, 65)))
@@ -185,7 +185,7 @@ def test_04_prox_oracles():
         lam = rng.standard_normal(12)
         sigma = float(rng.uniform(0.2, 5.0))
         radius = float(rng.uniform(0.1, 3.0))
-        left = prox_tvc_conjugate(lam, sigma, radius * sigma, tol=1e-10).value
+        left = prox_tvc_conjugate(lam, sigma, radius * sigma).value
         right = sigma * l1_project_by_sort(lam / sigma, radius)[0]
         worst = max(worst, float(np.max(np.abs(left + right - lam))))
     assert worst <= 2e-10

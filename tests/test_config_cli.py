@@ -73,6 +73,14 @@ def test_text_round_trip_and_manifest_version():
     assert parse_config_text(manifest) == cfg
 
 
+def test_manifest_with_retired_l1_tol_line_still_parses():
+    # manifests of the bisection l1 prox carry its tolerance key
+    cfg = replace(ExperimentConfig(), problem="tvclsq", nx=32)
+    old_manifest = config_to_text(cfg, version="0.1.0") + "l1_tol = 1e-08\n"
+    assert parse_config_text(old_manifest) == cfg
+    assert "l1_tol" not in config_to_text(cfg)
+
+
 def test_parse_comments_blanks_and_spacing():
     cfg = parse_config_text(
         """
@@ -332,6 +340,27 @@ def test_main_numerical_failure_exit_code(tmp_path, capsys):
         code = cli.main(args)
     assert code == 2
     assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_main_tvclsq_radius_below_rounding_with_validate_prox(tmp_path, capsys):
+    # gamma far below the rounding of the dual's l1 norm: the sort-based
+    # cross-check keeps the largest entry active instead of failing
+    args = ["run", "-o", str(tmp_path)]
+    for pair in (
+        "nx=32",
+        "geometry=desk-sparse",
+        "problem=tvclsq",
+        "gamma=1e-20",
+        "k_max=20",
+        "record_stride=10",
+        "validate_prox=true",
+    ):
+        args += ["--set", pair]
+    assert cli.main(args) == 0, capsys.readouterr().err
+    with open(tmp_path / "convergence.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["iter"] for row in rows] == ["0", "10", "20"]
+    assert all(float(row["beta"]) > 0 for row in rows[1:])
 
 
 def test_main_rank_below_k_exits_numerical(tmp_path, monkeypatch, capsys):

@@ -137,12 +137,96 @@ def test_l1_projection_matches_sort_oracle():
         v = rng.standard_normal(n) * rng.uniform(0.1, 10)
         r = float(rng.uniform(0.05, 5))
         got = project_l1_ball(v, r)
-        want, _ = l1_project_by_sort(v, r)
-        # per-component error is bounded by the norm-gap tolerance
-        assert np.max(np.abs(got.value - want)) <= default_l1_tol(v)
+        want, beta = l1_project_by_sort(v, r)
+        # the finite active-set threshold is exact up to rounding
+        assert np.max(np.abs(got.value - want)) <= 1e-12
+        assert got.aux == pytest.approx(beta, rel=0, abs=1e-12)
         # library's own sorted reference agrees with the independent one
         lib_sorted = project_l1_ball_sorted(v, r)
         assert np.max(np.abs(lib_sorted.value - want)) <= 1e-12
+
+
+# r one ulp below ||v||_1: rounding of the active sums can put the
+# threshold below zero, in the sort's cumulative sums (LONG_TIE_V) and
+# in the active-set means (SHORT_TIE_V)
+LONG_TIE_V = np.concatenate(
+    [[0.0, 2.3064220899374745e-298, 52.021301064409606, 404.5518398215282, 0.0],
+     np.full(33, 450.339366649287)]
+)
+SHORT_TIE_V = np.array([234.0, 0.0] + [0.84] * 30)
+L1_EDGE_CASES = {
+    "ties": (np.array([2.0, -2.0, 2.0, -2.0]), 3.0),
+    "ties-radius-below-rounding": (np.full(5, 0.3), 1.5e-20),
+    "zeros": (np.array([0.0, 3.0, 0.0, -1.0, 0.0]), 1.0),
+    "all-zero-but-one": (np.array([0.0, 0.0, -4.0]), 0.5),
+    "n=1": (np.array([-5.0]), 2.0),
+    "n=1-radius-below-rounding": (np.array([1.0]), 1e-20),
+    "norm-just-above-r": (np.array([0.5, -0.25, 0.25]), 1.0 - 1e-15),
+    "norm-one-ulp-above-r": (np.array([0.75, -0.25]), np.nextafter(1.0, 0.0)),
+    "r-one-ulp-below-norm-long-tie": (
+        LONG_TIE_V,
+        (1 - 2.0**-53) * np.abs(LONG_TIE_V).sum(),
+    ),
+    "r-one-ulp-below-norm-short-tie": (
+        SHORT_TIE_V,
+        (1 - 2.0**-53) * np.abs(SHORT_TIE_V).sum(),
+    ),
+    "r/norm=1e-8": (np.array([3.0, -1.0, 2.0, 0.5]), 6.5e-8),
+    "r/norm=1e-16": (np.array([3.0, -1.0, 2.0, 0.5]), 6.5e-16),
+    "r/norm=1e-20": (np.array([3.0, -1.0, 2.0, 0.5]), 6.5e-20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(L1_EDGE_CASES))
+def test_l1_projection_edge_cases_match_sort_oracle(name):
+    v, r = L1_EDGE_CASES[name]
+    assert np.abs(v).sum() > r
+    want, beta = l1_project_by_sort(v, r)
+    # a 0/0 on an emptied active set raises here instead of warning
+    with np.errstate(all="raise"):
+        for got in (project_l1_ball(v, r), project_l1_ball_sorted(v, r)):
+            assert np.max(np.abs(got.value - want)) <= 1e-12
+            assert got.aux == pytest.approx(beta, rel=0, abs=1e-12)
+            assert got.aux >= 0.0
+            assert np.abs(got.value).sum() <= r + 1e-15 * np.abs(v).sum()
+        dual = prox_tvc_conjugate(v, 1.0, r)
+    assert dual.aux == project_l1_ball(v, r).aux
+    assert np.array_equal(dual.value, np.clip(v, -dual.aux, dual.aux))
+
+
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 64),
+        elements=st.floats(-1e3, 1e3, allow_nan=False, width=64),
+    ),
+    st.floats(1e-20, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_l1_projection_kkt_property(v, frac):
+    norm = float(np.abs(v).sum())
+    r = frac * norm
+    if not r > 0:
+        return
+    res = project_l1_ball(v, r)
+    if norm <= r:
+        assert np.array_equal(res.value, v) and res.aux == 0.0
+        return
+    beta = res.aux
+    assert beta >= 0.0
+    # signs are kept and every magnitude is shrunk by the same beta
+    nz = res.value != 0.0
+    assert np.array_equal(np.sign(res.value[nz]), np.sign(v[nz]))
+    assert np.array_equal(np.abs(res.value), np.maximum(np.abs(v) - beta, 0.0))
+    # the result lies on the sphere, to the rounding of ||v||_1 (with an
+    # absolute floor for subnormal inputs)
+    fin = np.finfo(float)
+    rounding = 4 * v.size * (fin.eps * norm + fin.smallest_subnormal)
+    assert abs(np.abs(res.value).sum() - r) <= rounding
+    # the Moreau form of the dual prox is the clip to [-beta, beta]
+    dual = prox_tvc_conjugate(v, 1.0, r)
+    assert dual.aux == beta
+    assert np.array_equal(dual.value, np.clip(v, -beta, beta))
 
 
 def test_l1_projection_norm_within_tol():
@@ -176,7 +260,9 @@ def test_l1_projection_input_validation():
     with pytest.raises(ValueError):
         project_l1_ball(np.ones(2), 0.0)
     with pytest.raises(ValueError):
-        project_l1_ball(np.ones(2), 1.0, tol=0.0)
+        prox_tvc_conjugate(np.array([np.nan, 1.0]), 1.0, 1.0)
+    with pytest.raises(ValueError):
+        prox_tvc_conjugate(np.array([np.inf, 1.0]), 1.0, 1.0)
 
 
 @given(finite_vectors, st.floats(0.05, 20))
@@ -205,7 +291,7 @@ def test_tvc_conjugate_moreau_identity():
         sigma = float(rng.uniform(0.2, 5))
         radius = float(rng.uniform(0.1, 3))
         tol = default_l1_tol(lam)
-        left = prox_tvc_conjugate(lam, sigma, radius * sigma, tol=tol).value
+        left = prox_tvc_conjugate(lam, sigma, radius * sigma).value
         # prox of the scaled indicator is projection onto the gamma-ball
         right = sigma * l1_project_by_sort(lam / sigma, radius)[0]
         assert np.max(np.abs(left + right - lam)) <= 2 * tol

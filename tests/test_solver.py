@@ -680,6 +680,28 @@ def test_tvclsq_kkt_conditions_at_convergence(tiny):
     assert np.all(res <= 2 * tol)
 
 
+def test_tvclsq_prox_residual_at_rounding_level(tiny):
+    # the exact l1-ball prox matches the sort-based reference to rounding:
+    # 1e-15 relative to max(1, ||v_g||_1), i.e. 1e-5 of the recorded bound
+    # (a bisection threshold misses it by orders of magnitude)
+    spec = ProblemSpec(
+        kind="tvclsq",
+        x_map=tiny["x_map"],
+        g=tiny["g"],
+        d_map=tiny["d_map"],
+        gamma=0.3 * tiny["phantom"].tv_value,
+        nu=tv_weight(tiny),
+    )
+    plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
+    _, record = run_cppd_tvclsq(
+        spec, plan, k_max=300, record_stride=30, validate_prox=True
+    )
+    assert np.all(np.asarray(record.column("beta")[1:]) > 0)
+    res = np.asarray(record.column("prox_residual")[1:])
+    tol = np.asarray(record.column("prox_tol")[1:])
+    assert np.all(res <= 1e-5 * tol)
+
+
 def test_tvlsq_beta_zero_matches_lsq_image(tiny):
     # with beta = 0 the TV penalty vanishes; the recovered image agrees
     # with the plain LSQ solve on the same data
