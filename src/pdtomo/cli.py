@@ -41,6 +41,7 @@ from .ct import (
     fov_active,
     gaussian_smooth,
     gradient,
+    gradient_norm,
     projector,
 )
 from .fileio import (
@@ -115,9 +116,7 @@ def assemble_problem(cfg: ExperimentConfig, grid, geom, phantom) -> ProblemSpec:
     if cfg.problem == "lsq":
         return ProblemSpec("lsq", x_map, g, active=active)
     d_map = gradient(grid)
-    nu = spectral_norm(x_map, cfg.power_iters, cfg.seed) / spectral_norm(
-        d_map, cfg.power_iters, cfg.seed
-    )
+    nu = spectral_norm(x_map, cfg.seed) / gradient_norm(grid)
     if cfg.problem == "tvlsq":
         return ProblemSpec(
             "tvlsq", x_map, g, d_map=d_map, beta=cfg.beta, nu=nu, active=active
@@ -155,7 +154,7 @@ def cached_eigenpairs(cfg: ExperimentConfig, grid, geom, a_map) -> EigenSet:
         eigs = load_eigenset(path)
         if eigs.n == a_map.domain_dim and eigs.k == cfg.k_eigs:
             return eigs
-    eigs = leading_eigenpairs(a_map, cfg.k_eigs, n_power=cfg.power_iters, seed=cfg.seed)
+    eigs = leading_eigenpairs(a_map, cfg.k_eigs, seed=cfg.seed)
     if cfg.blur_width > 0:
         eigs = smooth_eigenset(eigs, gaussian_smooth(grid, cfg.blur_width))
     ensure_dir(path.parent)
@@ -166,19 +165,12 @@ def cached_eigenpairs(cfg: ExperimentConfig, grid, geom, a_map) -> EigenSet:
 def build_plan(cfg: ExperimentConfig, problem: ProblemSpec, grid, geom):
     a_map = problem.operator()
     if cfg.plan == "scalar":
-        L = spectral_norm(a_map, cfg.power_iters, cfg.seed)
+        L = spectral_norm(a_map, cfg.seed)
         return scalar_steps(L, cfg.rho)
     if cfg.plan == "diagonal":
         return diagonal_steps(a_map, rho=cfg.rho)
     eigs = cached_eigenpairs(cfg, grid, geom, a_map)
-    return lowrank_steps(
-        a_map,
-        cfg.k_eigs,
-        rho=cfg.rho,
-        n_power=cfg.power_iters,
-        seed=cfg.seed,
-        eigs=eigs,
-    )
+    return lowrank_steps(a_map, cfg.k_eigs, rho=cfg.rho, seed=cfg.seed, eigs=eigs)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -208,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 validate_prox=cfg.validate_prox,
             )
         elif cfg.solver == "gd":
-            L = spectral_norm(problem.x_map, cfg.power_iters, cfg.seed)
+            L = spectral_norm(problem.x_map, cfg.seed)
             state, record = run_gd_lsq(
                 problem,
                 cfg.alpha,

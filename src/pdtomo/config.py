@@ -3,8 +3,9 @@
 Config files are plain text, one `key = value` per line, `#` comments;
 the same format is echoed back as the run manifest (plus a `version`
 line, which the parser accepts and ignores), so any manifest can be
-replayed as a config.  The parser also ignores the tolerance key of the
-former bisection l1-ball prox, so manifests that carry it still replay.
+replayed as a config.  The parser also ignores the keys of removed
+knobs (the bisection l1-ball prox tolerance, the power-method iteration
+count), so manifests that carry them still replay.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class ExperimentConfig:
     k_max: int = 1000
     record_stride: int = 1
     seed: int = 7
-    power_iters: int = 100
     validate_prox: bool = False
     workers: int = 1
     outdir: str = "results/run"
@@ -84,6 +84,8 @@ class ExperimentConfig:
                 "diagonal steps give a per-component dual step, but the "
                 "tvclsq dual prox needs a scalar sigma"
             )
+        if self.problem in ("tvlsq", "tvclsq") and self.nx < 2:
+            raise ConfigError("TV problems need nx >= 2: a one-pixel image has no gradient")
         if self.k_eigs < 1:
             raise ConfigError("k_eigs must be >= 1")
         if self.gamma != "phantom-tv":
@@ -99,7 +101,7 @@ class ExperimentConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_IGNORED_KEYS = ("version", "l1_tol")
+_IGNORED_KEYS = ("version", "l1_tol", "power_iters")
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:

@@ -15,7 +15,7 @@ endpoint excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -321,6 +321,12 @@ def gradient(grid: ImageGrid) -> LinearMap:
     return LinearMap(n, 2 * n, fwd, adj, label="D")
 
 
+def gradient_norm(grid: ImageGrid) -> float:
+    """||D||_2 in closed form: D^T D is the Kronecker sum of two 1D Neumann
+    Laplacians, each with top eigenvalue 4 sin^2(pi (nx - 1) / (2 nx))."""
+    return 2.0 * np.sqrt(2.0) * np.sin(np.pi * (grid.nx - 1) / (2 * grid.nx))
+
+
 def gaussian_kernel(width_pixels: float) -> np.ndarray:
     """Normalized Gaussian taps truncated at four widths (odd length)."""
     if width_pixels <= 0:
@@ -345,8 +351,3 @@ def gaussian_smooth(grid: ImageGrid, width_pixels: float) -> LinearMap:
         return img.ravel()
 
     return LinearMap(grid.n, grid.n, smooth, smooth, label="S_blur")
-
-
-def scaled_grid(grid: ImageGrid, factor: int) -> ImageGrid:
-    """Same physical extent with nx, ny multiplied by `factor`."""
-    return replace(grid, nx=grid.nx * factor, ny=grid.ny * factor)

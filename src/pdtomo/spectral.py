@@ -1,25 +1,29 @@
 """Spectral estimation and step-size plans for the primal-dual solvers.
 
-Provides power-method spectral norms, Lanczos (ARPACK) leading
-eigenpairs of A^T A, the truncated-inverse low-rank step matrix
-T built from those eigenpairs (optionally spatially smoothed), diagonal
-row/column-sum step matrices, and the sigma consistent with a given
-matrix T.
+One Lanczos engine serves every spectral quantity: the spectral norm,
+the leading eigenpairs of A^T A, and the sigma consistent with a
+matrix step T.  Also builds the truncated-inverse low-rank step matrix
+T from those eigenpairs (optionally spatially smoothed) and diagonal
+row/column-sum step matrices.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linop import LinearMap, Vector, materialize_dense, scaled
 
-_DEF_ITERS = 100
+# Lanczos stops once every wanted Ritz residual is at most
+# _RESIDUAL_TOL times the top Ritz value, checked every _CHECK_EVERY
+# steps; past _MAX_STEPS it raises.
+_RESIDUAL_TOL = 1e-10
+_CHECK_EVERY = 5
+_MAX_STEPS = 500
 # Names the eigenpair engine in cache keys, so pairs from another engine
 # are never read back as a hit.
-EIG_ENGINE = "lanczos"
+EIG_ENGINE = "lanczos-numpy"
 
 
 @dataclass
@@ -80,7 +84,6 @@ class StepPlan:
     rho: float = 1.0
     L: float | None = None
     eigs: EigenSet | None = field(default=None, repr=False)
-    sigma_converged: bool = True
 
     def apply_tau(self, v: Vector) -> np.ndarray:
         """Apply the primal step (scalar, diagonal, or matrix T) to v."""
@@ -98,58 +101,91 @@ class StepPlan:
         return out
 
 
-def spectral_norm(map_: LinearMap, iters: int = _DEF_ITERS, seed: int = 0) -> float:
-    """Largest singular value by power iteration on A^T A.
+def _lanczos(apply, n: int, k: int, seed: int):
+    """Top-k Ritz pairs of a symmetric positive semidefinite operator on R^n.
 
-    Returns the square root of the Rayleigh quotient after `iters`
-    steps; the estimate is monotone nondecreasing in `iters` up to
-    rounding.  A zero operator returns 0.
+    Lanczos with full reorthogonalisation from the start vector
+    `default_rng(seed).standard_normal(n)`.  Every _CHECK_EVERY steps
+    the Ritz residuals ||B x - theta x|| = beta |s_last| are checked; the
+    run stops once the k leading ones are at most _RESIDUAL_TOL * theta_1
+    and raises RuntimeError if _MAX_STEPS steps pass first.  A next
+    vector at the rounding level n eps ||T|| marks an invariant subspace;
+    the run goes on from a fresh random vector, which can find further
+    copies of a repeated eigenvalue.  Returns (theta, residual,
+    vectors), descending, `vectors` (k, n); each residual includes the
+    rounding bound n eps theta_1 of the inner products behind theta.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(map_.domain_dim)
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        w = map_.adjoint(map_(v))
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-    return float(np.linalg.norm(map_(v)))
+    limit = min(n, _MAX_STEPS)
+    rounding = n * np.finfo(float).eps
+    alpha, beta = np.zeros(limit), np.zeros(limit)
+    # Lanczos vectors fill blocks of rows allocated as the steps need
+    # them, each under the 4 MB at which numpy asks for huge pages
+    rows = max(1, 2**21 // (8 * n))
+    blocks: list[np.ndarray] = []
+
+    def orthogonalize(w: np.ndarray, count: int) -> np.ndarray:
+        # classical Gram-Schmidt, repeated once when a pass shrinks w below
+        # 1/sqrt(2) of its norm: after such cancellation one pass leaves w
+        # off orthogonal (Daniel, Gragg, Kaufman and Stewart, 1976)
+        for _ in range(2):
+            before = np.linalg.norm(w)
+            for first in range(0, count, rows):
+                basis = blocks[first // rows][: count - first]
+                w = w - basis.T @ (basis @ w)
+            if np.linalg.norm(w) > before / np.sqrt(2.0):
+                break
+        return w
+
+    w, prev = rng.standard_normal(n), np.zeros(n)
+    for j in range(limit):
+        if j % rows == 0:
+            blocks.append(np.empty((rows, n)))
+        q = blocks[-1][j % rows]
+        q[:] = w / np.linalg.norm(w)
+        steps = j + 1
+        w = apply(q)
+        alpha[j] = q @ w
+        # the three-term recurrence, then against every earlier vector
+        w = orthogonalize(w - alpha[j] * q - beta[j - 1] * prev, steps)
+        prev = q
+        b = np.linalg.norm(w)
+        if steps % _CHECK_EVERY == 0 or steps == limit:
+            off = beta[: steps - 1]
+            theta, s = np.linalg.eigh(np.diag(alpha[:steps]) + np.diag(off, 1) + np.diag(off, -1))
+            theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+            resid = b * np.abs(s[-1])
+            if steps >= k and np.all(resid <= _RESIDUAL_TOL * theta[0]):
+                vectors = sum(
+                    s[first : first + rows].T @ blocks[first // rows][: steps - first]
+                    for first in range(0, steps, rows)
+                )
+                return theta, resid + rounding * theta[0], vectors
+        if b <= rounding * np.abs(alpha[:steps]).max():
+            w = orthogonalize(rng.standard_normal(n), steps)
+        else:
+            beta[j] = b
+    raise RuntimeError(
+        f"Lanczos did not reach the Ritz residual bound {_RESIDUAL_TOL:g} "
+        f"for {k} pair(s) within {limit} steps"
+    )
 
 
-def leading_eigenpairs(
-    map_: LinearMap, k: int, n_power: int = _DEF_ITERS, seed: int = 0
-) -> EigenSet:
-    """The K leading eigenpairs of A^T A by implicitly restarted Lanczos.
+def spectral_norm(map_: LinearMap, seed: int = 0) -> float:
+    """||A||_2 from above: sqrt(theta + r) for the top Ritz value theta of
+    A^T A and its residual r, so the step condition errs safe.  A zero
+    operator returns 0."""
+    theta, resid, _ = _lanczos(lambda v: map_.adjoint(map_(v)), map_.domain_dim, 1, seed)
+    return float(np.sqrt(max(theta[0] + resid[0], 0.0)))
 
-    Runs ARPACK (`scipy.sparse.linalg.eigsh`, largest algebraic) on A^T A
-    applied matrix-free, from the start vector
-    `default_rng(seed).standard_normal(n)`, to machine precision; equal
-    seeds give identical pairs.  K == n, which ARPACK cannot do, falls
-    back to a dense eigendecomposition.  `n_power` is validated but
-    unused: it governs only `spectral_norm` and `sigma_for_T`.
-    Non-convergence raises `ArpackNoConvergence`, a RuntimeError.
-    """
+
+def leading_eigenpairs(map_: LinearMap, k: int, seed: int = 0) -> EigenSet:
+    """The K leading eigenpairs of A^T A by Lanczos; equal seeds give
+    identical pairs.  ValueError when the K-th is numerically zero."""
     n = map_.domain_dim
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= K <= {n}, got {k}")
-    if n_power < 1:
-        raise ValueError("n_power must be >= 1")
-    if k < n:
-        # Imported here: scipy.sparse.linalg loads scipy.linalg, about 8 MB
-        # resident that runs without a low-rank plan should not carry.
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
-        gram = LinearOperator((n, n), matvec=lambda v: map_.adjoint(map_(v)), dtype=float)
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        values, vectors = eigsh(gram, k=k, which="LA", v0=v0)
-    else:
-        a = materialize_dense(map_)
-        values, vectors = np.linalg.eigh(a.T @ a)
-    order = np.argsort(values)[::-1]
-    values, vectors = values[order], vectors[:, order].T
+    values, _, vectors = _lanczos(lambda v: map_.adjoint(map_(v)), n, k, seed)
     if values[-1] <= n * np.finfo(float).eps * max(values[0], 0.0):
         raise ValueError(
             f"eigenvalue {k - 1} is numerically zero: operator rank is smaller than K"
@@ -228,37 +264,16 @@ def diagonal_steps(map_: LinearMap, rho: float = 1.0) -> StepPlan:
     return StepPlan(kind="diagonal", sigma=rho * sigma, tau=tau / rho, rho=rho)
 
 
-def sigma_for_T(
-    map_: LinearMap, t_map: LinearMap, iters: int = _DEF_ITERS, seed: int = 0
-) -> float:
-    """sigma = 1 / ||T A^T A||_2 by power iteration.
-
-    T A^T A is self-adjoint in the A^T A inner product, so the Rayleigh
-    quotient <Bv, T Bv> / <v, Bv> (B = A^T A) converges monotonically to
-    the largest eigenvalue.  Emits a warning when the estimate has not
-    stabilized to 1e-6 relative after `iters` steps.
-    """
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(map_.domain_dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    prev = np.inf
-    for _ in range(iters):
-        bv = map_.adjoint(map_(v))
-        w = t_map(bv)
-        den = v @ bv
-        if den <= 0:
-            raise ValueError("power iteration left the positive cone; is A zero?")
-        prev, lam = lam, (bv @ w) / den
-        nrm = np.linalg.norm(w)
-        v = w / nrm
-    if not abs(lam - prev) <= 1e-6 * abs(lam):
-        warnings.warn(
-            f"sigma_for_T: power iteration not converged after {iters} iterations "
-            f"(last change {abs(lam - prev):.3e})",
-            RuntimeWarning,
-        )
-    return 1.0 / float(lam)
+def sigma_for_T(map_: LinearMap, t_map: LinearMap, seed: int = 0) -> float:
+    """sigma = 1 / rho(T A^T A), from Lanczos on the symmetric A T A^T,
+    which has the same nonzero spectrum: its top Ritz value plus residual
+    bounds rho from above, so sigma errs on the safe side."""
+    gram = lambda v: map_(t_map(map_.adjoint(v)))
+    theta, resid, _ = _lanczos(gram, map_.range_dim, 1, seed)
+    top = float(theta[0] + resid[0])
+    if not top > 0:
+        raise ValueError("A T A^T has no positive eigenvalue; is A zero?")
+    return 1.0 / top
 
 
 def scalar_steps(L: float, rho: float, safety: float = 1.0) -> StepPlan:
@@ -281,7 +296,6 @@ def lowrank_steps(
     map_: LinearMap,
     k: int,
     rho: float = 1.0,
-    n_power: int = _DEF_ITERS,
     seed: int = 0,
     smoother: LinearMap | None = None,
     eigs: EigenSet | None = None,
@@ -293,23 +307,13 @@ def lowrank_steps(
     leaving the step product unchanged.
     """
     if eigs is None:
-        eigs = leading_eigenpairs(map_, k, n_power=n_power, seed=seed)
+        eigs = leading_eigenpairs(map_, k, seed=seed)
     if smoother is not None:
         eigs = smooth_eigenset(eigs, smoother)
     t_map = build_lowrank_T(eigs)
-    converged = True
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sigma0 = sigma_for_T(map_, t_map, iters=n_power, seed=seed)
-        converged = not any(issubclass(w.category, RuntimeWarning) for w in caught)
-    return StepPlan(
-        kind="lowrank",
-        sigma=rho * sigma0,
-        tau=scaled(1.0 / rho, t_map),
-        rho=rho,
-        eigs=eigs,
-        sigma_converged=converged,
-    )
+    sigma0 = sigma_for_T(map_, t_map, seed=seed)
+    tau = scaled(1.0 / rho, t_map)
+    return StepPlan(kind="lowrank", sigma=rho * sigma0, tau=tau, rho=rho, eigs=eigs)
 
 
 def convergence_matrix(a_dense: np.ndarray, sigma, tau) -> np.ndarray:

@@ -37,7 +37,7 @@ def desk_active(desk_grid):
 
 @pytest.fixture(scope="session")
 def desk_norm(desk_projector) -> float:
-    return spectral_norm(desk_projector, iters=100, seed=0)
+    return spectral_norm(desk_projector, seed=0)
 
 
 @pytest.fixture(scope="session")

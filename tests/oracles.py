@@ -37,7 +37,9 @@ def l1_project_by_sort(v: np.ndarray, r: float) -> tuple[np.ndarray, float]:
     # the largest magnitude always qualifies, also when r is below the
     # rounding of ||v||_1
     rho = np.max(np.nonzero(mags > candidates)[0], initial=0)
-    beta = candidates[rho]
+    # r one ulp below ||v||_1 with a long tie block rounds the threshold
+    # below zero; the exact one is nonnegative
+    beta = max(candidates[rho], 0.0)
     return np.sign(v) * np.maximum(np.abs(v) - beta, 0.0), float(beta)
 
 

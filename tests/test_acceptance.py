@@ -63,7 +63,7 @@ def oversampled(desk):
     x_map = projector(desk.grid, build_geometry("desk-oversampled"))
     g = x_map(desk.phantom.image)
     problem = ProblemSpec("lsq", x_map, g, active=desk.active)
-    L = spectral_norm(x_map, iters=100, seed=0)
+    L = spectral_norm(x_map, seed=0)
     return SimpleNamespace(x_map=x_map, g=g, problem=problem, L=L)
 
 
@@ -245,10 +245,10 @@ def test_05_numeric_conjugates_match_analytic():
 
 
 def test_06_spectral_oracles():
-    # deflated power method vs a dense eigendecomposition
+    # Lanczos eigenpairs vs a dense eigendecomposition
     for seed in (0, 1, 2):
         mat = np.random.default_rng(seed).standard_normal((16, 16))
-        eigs = leading_eigenpairs(from_dense(mat), 8, n_power=400, seed=seed + 100)
+        eigs = leading_eigenpairs(from_dense(mat), 8, seed=seed + 100)
         vals, vecs = np.linalg.eigh(mat.T @ mat)
         want = vals[::-1][:8]
         assert np.max(np.abs(eigs.values - want) / want) <= 1e-5
@@ -260,7 +260,7 @@ def test_06_spectral_oracles():
     vals = 16.0 / 2.0 ** np.arange(6)
     q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))
     mat = np.diag(np.sqrt(vals)) @ q.T
-    eigs = leading_eigenpairs(from_dense(mat), 6, n_power=400, seed=3)
+    eigs = leading_eigenpairs(from_dense(mat), 6, seed=3)
     t_map = build_lowrank_T(eigs)
     gram = mat.T @ mat
     rng = np.random.default_rng(9)
@@ -315,7 +315,7 @@ def test_09_lowrank_preconditioning_gains(desk, oversampled, long_lsq_run):
     scalar_rmse = long_lsq_run[1].at_iteration(200, "image_rmse")
     rmses = []
     for k in (1, 5, 25):
-        plan = lowrank_steps(oversampled.x_map, k, rho=0.1, n_power=100, seed=0)
+        plan = lowrank_steps(oversampled.x_map, k, rho=0.1, seed=0)
         _, rec = run_cppd(
             oversampled.problem, plan, 200, reference=desk.phantom.image,
             record_stride=100,
@@ -330,13 +330,11 @@ def test_10_tv_constrained_recovery_on_sparse_views(desk):
     x_map = projector(desk.grid, build_geometry("desk-sparse"))
     g = x_map(ph.image)
     d_map = gradient(desk.grid)
-    nu = spectral_norm(x_map, iters=100, seed=0) / spectral_norm(
-        d_map, iters=100, seed=0
-    )
+    nu = spectral_norm(x_map, seed=0) / spectral_norm(d_map, seed=0)
     tvc = ProblemSpec(
         "tvclsq", x_map, g, d_map=d_map, gamma=ph.tv_value, nu=nu, active=desk.active
     )
-    plan = scalar_steps(spectral_norm(tvc.operator(), iters=100, seed=0), rho=1.0)
+    plan = scalar_steps(spectral_norm(tvc.operator(), seed=0), rho=1.0)
     state, rec = run_cppd(
         tvc, plan, 4000, reference=ph.image, record_stride=50, validate_prox=True
     )
@@ -351,7 +349,7 @@ def test_10_tv_constrained_recovery_on_sparse_views(desk):
 
     # the constraint pays off against plain least squares on the same data
     lsq = ProblemSpec("lsq", x_map, g, active=desk.active)
-    plan_l = scalar_steps(spectral_norm(x_map, iters=100, seed=0), rho=0.1)
+    plan_l = scalar_steps(spectral_norm(x_map, seed=0), rho=0.1)
     _, rec_l = run_cppd(lsq, plan_l, 1000, reference=ph.image, record_stride=50)
     constrained = rec.at_iteration(1000, "image_rmse")
     plain = rec_l.at_iteration(1000, "image_rmse")

@@ -1,13 +1,16 @@
 """Config parsing, validation, and the batch CLI pipeline."""
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
-from pdtomo import cli
+from pdtomo import cli, spectral
 from pdtomo.config import (
     ConfigError,
     ExperimentConfig,
@@ -31,7 +34,6 @@ def tiny_cfg(outdir, **kw):
         n_bins=24,
         k_max=40,
         record_stride=10,
-        power_iters=60,
         seed=3,
         rho=0.3,
         outdir=str(outdir),
@@ -79,6 +81,14 @@ def test_manifest_with_retired_l1_tol_line_still_parses():
     old_manifest = config_to_text(cfg, version="0.1.0") + "l1_tol = 1e-08\n"
     assert parse_config_text(old_manifest) == cfg
     assert "l1_tol" not in config_to_text(cfg)
+
+
+def test_manifest_with_retired_power_iters_line_still_parses():
+    # manifests of the power-method engine carry its iteration count
+    cfg = replace(ExperimentConfig(), plan="lowrank", k_eigs=5)
+    old_manifest = config_to_text(cfg, version="0.1.0") + "power_iters = 100\n"
+    assert parse_config_text(old_manifest) == cfg
+    assert "power_iters" not in config_to_text(cfg)
 
 
 def test_parse_comments_blanks_and_spacing():
@@ -138,6 +148,8 @@ def test_apply_overrides_last_wins():
         (dict(k_eigs=0), "k_eigs"),
         (dict(gamma="huh"), "number or 'phantom-tv'"),
         (dict(gamma="-1.0", problem="tvclsq"), "gamma must be positive"),
+        (dict(nx=1, problem="tvlsq"), "nx >= 2"),
+        (dict(nx=1, problem="tvclsq"), "nx >= 2"),
     ],
 )
 def test_validate_rejects(updates, match):
@@ -334,7 +346,7 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 def test_main_numerical_failure_exit_code(tmp_path, capsys):
     args = ["run", "--set", "solver=gd", "--set", "alpha=20", "-o", str(tmp_path)]
-    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_max=200", "power_iters=60"):
+    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_max=200"):
         args += ["--set", pair]
     with pytest.warns(RuntimeWarning):
         code = cli.main(args)
@@ -391,7 +403,7 @@ def test_main_phantom_command(tmp_path, capsys):
 
 def test_main_eig_command_and_cache(tmp_path, capsys):
     args = ["eig", "--set", f"cache_dir={tmp_path / 'cache'}"]
-    for pair in ("nx=16", "n_views=12", "n_bins=24", "power_iters=60", "k_eigs=2"):
+    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_eigs=2"):
         args += ["--set", pair]
     assert cli.main(args) == 0
     out = capsys.readouterr().out
@@ -423,8 +435,6 @@ def test_eig_cache_key_names_the_engine(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path / "out", plan="lowrank", cache_dir=str(tmp_path / "cache"))
     grid, geom = cli.build_grid(cfg), cli.build_geom(cfg)
     path = cli._eig_cache_path(cfg, grid, geom)
-    # power_iters no longer shapes the eigenpairs, so it is not in the key
-    assert cli._eig_cache_path(replace(cfg, power_iters=7), grid, geom) == path
     assert cli._eig_cache_path(replace(cfg, seed=4), grid, geom) != path
     # pairs from another engine land under another name and are never read
     monkeypatch.setattr(cli, "EIG_ENGINE", "power")
@@ -460,14 +470,45 @@ def test_lowrank_cache_hit_repeats_the_miss_bitwise(tmp_path, monkeypatch):
 
 
 def test_main_lanczos_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
-    def stalled(*args, **kwargs):
-        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
-
-    monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
+    # a step cap below what three pairs need runs out before the bound holds
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 4)
     args = ["run", "-o", str(tmp_path / "out")]
     for pair in ("nx=16", "n_views=12", "n_bins=24", "k_max=5", "plan=lowrank",
                  "k_eigs=3", f"cache_dir={tmp_path / 'cache'}"):
         args += ["--set", pair]
     assert cli.main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: [plan]") and "No convergence" in err
+    assert err.startswith("numerical failure: [plan] Lanczos") and "within 4 steps" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_main_tv_problem_on_one_pixel_grid_is_config_error(tmp_path, capsys):
+    # a one-pixel image has ||D|| = 0, so nu = ||X|| / ||D|| is undefined
+    for problem in ("tvlsq", "tvclsq"):
+        args = ["run", "--set", "nx=1", "--set", f"problem={problem}", "-o", str(tmp_path)]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nx >= 2" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):
+    # scipy.sparse.linalg pulls in scipy.linalg, several MB resident that
+    # the numpy Lanczos engine does not need, low-rank plans included
+    tv = ["--set", "problem=tvclsq", "-o", str(tmp_path / "tv")]
+    lowrank = ["--set", "plan=lowrank", "--set", "k_eigs=3",
+               "--set", f"cache_dir={tmp_path / 'cache'}", "-o", str(tmp_path / "lr")]
+    script = f"""
+import sys
+from pdtomo import cli
+common = ["--set", "nx=16", "--set", "n_views=12", "--set", "n_bins=24", "--set", "k_max=5"]
+for extra in ({tv!r}, {lowrank!r}):
+    assert cli.main(["run", *common, *extra]) == 0
+print(sorted(m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules))
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
