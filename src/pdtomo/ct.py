@@ -1,10 +1,11 @@
 """2D circular fan-beam CT forward model on a square pixel grid.
 
 The projector traces one ray per detector-bin center and accumulates
-exact pixel intersection lengths (Siddon traversal), stored as a sparse
-matrix so forward and adjoint are an exactly matched pair.  The full
-system matrix is X = X_grid * M_FOV: the field-of-view mask is applied
-before ray tracing.
+exact pixel intersection lengths (Siddon traversal).  The system matrix
+X keeps only the columns of pixels inside the field of view (FOV): the
+traversal's entries in other columns are dropped before X is stored,
+together with an explicit transpose, as one sparse pair, so forward and
+adjoint are an exactly matched pair.
 
 Conventions fixed here: images are row-major (ny, nx) arrays flattened
 C-order, pixel (ix, iy) covers a square of side `pixel_size` centered
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.ndimage import convolve1d
 
-from .linop import LinearMap, Vector, compose, diagonal
+from .linop import LinearMap, Vector
 
 # Segments shorter than this fraction of the ray parameter are corner
 # grazes and are dropped.
@@ -168,11 +169,6 @@ def fov_active(grid: ImageGrid) -> np.ndarray:
     return (xx**2 + yy**2 < r**2).ravel()
 
 
-def fov_mask(grid: ImageGrid) -> LinearMap:
-    """Diagonal 0/1 map zeroing pixels outside the FOV (idempotent)."""
-    return diagonal(fov_active(grid).astype(float), label="M_fov")
-
-
 def _siddon_coo(grid: ImageGrid, geom: FanBeamGeometry):
     """COO triplets (ray, pixel, length) of the unmasked ray transform."""
     nx, ny = grid.nx, grid.ny
@@ -259,36 +255,30 @@ def _siddon_coo(grid: ImageGrid, geom: FanBeamGeometry):
 
 @lru_cache(maxsize=8)
 def _system_matrices(grid: ImageGrid, geom: FanBeamGeometry):
-    """Cached (X_grid, X_grid^T) CSR pair for a grid/geometry combination."""
+    """Cached CSR pair (X, X^T) of the FOV-restricted system matrix."""
     rows, cols, vals = _siddon_coo(grid, geom)
+    # one filtered copy at a time keeps the build's transient small
+    keep = fov_active(grid)[cols]
+    rows = rows[keep]
+    cols = cols[keep]
+    vals = vals[keep]
     mat = sp.csr_matrix(
         (vals, (rows, cols)), shape=(geom.n_rays, grid.n), dtype=np.float64
     )
-    # the CSC transpose shares the data buffer, halving storage
-    return mat, mat.T
+    del rows, cols, vals, keep
+    return mat, mat.T.tocsr()
 
 
-def ray_transform(grid: ImageGrid, geom: FanBeamGeometry) -> LinearMap:
-    """Unmasked intersection-length projector X_grid (n -> n_rays)."""
+def projector(grid: ImageGrid, geom: FanBeamGeometry) -> LinearMap:
+    """System matrix X (n -> n_rays): intersection lengths with FOV pixels."""
     mat, mat_t = _system_matrices(grid, geom)
     return LinearMap(
         grid.n,
         geom.n_rays,
         lambda x: mat @ x,
         lambda y: mat_t @ y,
-        label="X_grid",
+        label="X",
     )
-
-
-def projector(grid: ImageGrid, geom: FanBeamGeometry) -> LinearMap:
-    """Masked system matrix X = X_grid * M_FOV."""
-    x = compose(ray_transform(grid, geom), fov_mask(grid), label="X")
-    return x
-
-
-def project(grid: ImageGrid, geom: FanBeamGeometry, image: Vector) -> Sinogram:
-    """Apply the masked projector to an image vector."""
-    return Sinogram(projector(grid, geom)(np.asarray(image, dtype=float)), geom)
 
 
 def gradient(grid: ImageGrid) -> LinearMap:

@@ -2,8 +2,8 @@
 
 Every operator is a matched forward/adjoint pair: the adjoint is the
 transpose of the discretized forward map, never an independent
-discretization.  Composition, scaling, and vertical stacking preserve
-this property, so dot-product adjoint tests hold for anything built
+discretization.  Scaling and vertical stacking preserve this
+property, so dot-product adjoint tests hold for anything built
 here.
 """
 
@@ -112,10 +112,6 @@ class StackedMap(LinearMap):
             out += w * blk.adjoint(y[lo:hi])
         return out
 
-    def split(self, y: Vector) -> list[Vector]:
-        """Slice a range vector into per-block pieces (views)."""
-        return [y[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
-
 
 def apply(map_: LinearMap, x: Vector) -> Vector:
     """Apply the forward map, checking the input length."""
@@ -146,34 +142,11 @@ def identity(n: int) -> LinearMap:
     return LinearMap(n, n, lambda x: x.copy(), lambda y: y.copy(), label="identity")
 
 
-def diagonal(d: Vector, label: str = "diag") -> LinearMap:
-    """Diagonal operator x -> d * x (self-adjoint)."""
-    d = np.asarray(d, dtype=float)
-    n = d.size
-    return LinearMap(n, n, lambda x: d * x, lambda y: d * y, label=label)
-
-
 def from_dense(mat: NDArray, label: str = "dense") -> LinearMap:
     """Wrap a dense matrix as a matched matvec/rmatvec pair."""
     mat = np.asarray(mat, dtype=float)
     m, n = mat.shape
     return LinearMap(n, m, lambda x: mat @ x, lambda y: mat.T @ y, label=label)
-
-
-def compose(outer: LinearMap, inner: LinearMap, label: str | None = None) -> LinearMap:
-    """Composition outer @ inner; adjoint composes in reverse order."""
-    if inner.range_dim != outer.domain_dim:
-        raise ValueError(
-            f"cannot compose {outer.label} ({outer.domain_dim}) with "
-            f"{inner.label} output ({inner.range_dim})"
-        )
-    return LinearMap(
-        inner.domain_dim,
-        outer.range_dim,
-        lambda x: outer(inner(x)),
-        lambda y: inner.adjoint(outer.adjoint(y)),
-        label=label or f"{outer.label}*{inner.label}",
-    )
 
 
 def scaled(w: float, map_: LinearMap) -> LinearMap:

@@ -75,7 +75,7 @@ class SaddleState:
 class ProblemSpec:
     """A problem instance: operators, data, and regularization knobs.
 
-    `x_map` is the (masked) projector; `d_map` the gradient operator for
+    `x_map` is the system matrix X over the FOV pixels; `d_map` the gradient operator for
     the TV problems; `nu` the stack weight making X and nu*D comparable
     in magnitude; `active` an optional pixel mask restricting the image
     RMSE.
@@ -403,46 +403,6 @@ def run_cppd(
             checked = _prox_check(problem, prev, state, plan, a_map) if check_prox else {}
             emit(state, **checked)
     return state, record
-
-
-def run_cppd_lsq(
-    problem: ProblemSpec,
-    plan: StepPlan,
-    k_max: int,
-    reference: Vector | None = None,
-    record_stride: int = 1,
-) -> tuple[SaddleState, ConvergenceRecord]:
-    """Primal-dual iteration on the plain least-squares problem."""
-    if problem.kind != "lsq":
-        raise ValueError("run_cppd_lsq expects an lsq problem")
-    return run_cppd(problem, plan, k_max, reference, record_stride)
-
-
-def run_cppd_tvlsq(
-    problem: ProblemSpec,
-    plan: StepPlan,
-    k_max: int,
-    reference: Vector | None = None,
-    record_stride: int = 1,
-) -> tuple[SaddleState, ConvergenceRecord]:
-    """Primal-dual iteration on TV-penalized least squares."""
-    if problem.kind != "tvlsq":
-        raise ValueError("run_cppd_tvlsq expects a tvlsq problem")
-    return run_cppd(problem, plan, k_max, reference, record_stride)
-
-
-def run_cppd_tvclsq(
-    problem: ProblemSpec,
-    plan: StepPlan,
-    k_max: int,
-    reference: Vector | None = None,
-    record_stride: int = 1,
-    validate_prox: bool = False,
-) -> tuple[SaddleState, ConvergenceRecord]:
-    """Primal-dual iteration on TV-constrained least squares."""
-    if problem.kind != "tvclsq":
-        raise ValueError("run_cppd_tvclsq expects a tvclsq problem")
-    return run_cppd(problem, plan, k_max, reference, record_stride, validate_prox)
 
 
 def run_gd_lsq(

@@ -26,9 +26,6 @@ from pdtomo.solver import (
     metrics,
     run_cgls,
     run_cppd,
-    run_cppd_lsq,
-    run_cppd_tvclsq,
-    run_cppd_tvlsq,
     run_gd_lsq,
 )
 from pdtomo.linop import LinearMap
@@ -163,7 +160,7 @@ def chain_steps(problem, plan, k_max):
 def test_lsq_loop_equals_repeated_steps(tiny):
     plan = scalar_steps(tiny["L"], rho=0.5)
     spec = lsq_problem(tiny)
-    final, _ = run_cppd_lsq(spec, plan, k_max=25)
+    final, _ = run_cppd(spec, plan, k_max=25)
     manual = chain_steps(spec, plan, 25)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
@@ -181,7 +178,7 @@ def test_tvlsq_loop_equals_repeated_steps(tiny):
         nu=nu,
     )
     plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
-    final, _ = run_cppd_tvlsq(spec, plan, k_max=20)
+    final, _ = run_cppd(spec, plan, k_max=20)
     manual = chain_steps(spec, plan, 20)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
@@ -199,7 +196,7 @@ def test_tvclsq_loop_equals_repeated_steps(tiny):
         nu=nu,
     )
     plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
-    final, _ = run_cppd_tvclsq(spec, plan, k_max=15)
+    final, _ = run_cppd(spec, plan, k_max=15)
     manual = chain_steps(spec, plan, 15)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
@@ -210,7 +207,7 @@ def test_diagonal_plan_loop_equals_repeated_steps(tiny):
     # the projector-only problem
     spec = lsq_problem(tiny)
     plan = diagonal_steps(spec.operator())
-    final, _ = run_cppd_lsq(spec, plan, k_max=12)
+    final, _ = run_cppd(spec, plan, k_max=12)
     manual = chain_steps(spec, plan, 12)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
@@ -221,7 +218,7 @@ def test_lowrank_plan_loop_equals_repeated_steps(tiny):
     spec = lsq_problem(tiny)
     plan = lowrank_steps(spec.operator(), 4, rho=0.5)
     assert isinstance(plan.tau, LinearMap)
-    final, _ = run_cppd_lsq(spec, plan, k_max=12)
+    final, _ = run_cppd(spec, plan, k_max=12)
     manual = chain_steps(spec, plan, 12)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
@@ -266,7 +263,7 @@ def test_recorded_metrics_match_fresh_recomputation(tiny):
     plan = scalar_steps(tiny["L"], rho=0.3)
     spec = lsq_problem(tiny)
     ref = tiny["phantom"].image
-    final, record = run_cppd_lsq(spec, plan, k_max=30, reference=ref)
+    final, record = run_cppd(spec, plan, k_max=30, reference=ref)
     fresh = metrics(final, spec, reference=ref)
     for name in ("r_sigma", "r_tau", "image_rmse", "data_rmse", "grad_mag", "cpd_gap"):
         recorded = record.at_iteration(30, name)
@@ -442,14 +439,14 @@ def test_divergence_guard_trips_on_bad_norm_estimate(tiny):
     # deliberately underestimating L violates sigma*tau <= 1/L^2
     plan = scalar_steps(tiny["L"], rho=1.0, safety=0.01)
     with pytest.raises(DivergenceError, match="iteration"):
-        run_cppd_lsq(lsq_problem(tiny), plan, k_max=300)
+        run_cppd(lsq_problem(tiny), plan, k_max=300)
 
 
 def test_divergence_guard_trip_iterations(tiny):
     # the iterations at which the unbounded-list guard tripped
     plan = scalar_steps(tiny["L"], rho=1.0, safety=0.01)
     with pytest.raises(DivergenceError, match=r"\(at iteration 12\)"):
-        run_cppd_lsq(lsq_problem(tiny), plan, k_max=300)
+        run_cppd(lsq_problem(tiny), plan, k_max=300)
     with pytest.warns(RuntimeWarning, match="alpha"):
         with pytest.raises(DivergenceError, match=r"\(at iteration 11\)"):
             run_gd_lsq(lsq_problem(tiny), 20.0, 300, L=tiny["L"])
@@ -491,15 +488,15 @@ def test_step_rejects_nonfinite_state(tiny):
 
 def test_record_iteration_zero_and_stride(tiny):
     plan = scalar_steps(tiny["L"], rho=0.1)
-    _, record = run_cppd_lsq(lsq_problem(tiny), plan, k_max=10, record_stride=3)
+    _, record = run_cppd(lsq_problem(tiny), plan, k_max=10, record_stride=3)
     assert record.iters == [0, 3, 6, 9, 10]
-    _, dense_rec = run_cppd_lsq(lsq_problem(tiny), plan, k_max=4)
+    _, dense_rec = run_cppd(lsq_problem(tiny), plan, k_max=4)
     assert dense_rec.iters == [0, 1, 2, 3, 4]
 
 
 def test_csv_schema_and_round_trip(tiny, tmp_path):
     plan = scalar_steps(tiny["L"], rho=0.1)
-    _, record = run_cppd_lsq(
+    _, record = run_cppd(
         lsq_problem(tiny), plan, k_max=5, reference=tiny["phantom"].image
     )
     path = tmp_path / "conv.csv"
@@ -540,7 +537,7 @@ def test_record_rejects_unknown_metric():
 
 def test_record_lookup_helpers(tiny):
     plan = scalar_steps(tiny["L"], rho=0.1)
-    _, record = run_cppd_lsq(lsq_problem(tiny), plan, k_max=6)
+    _, record = run_cppd(lsq_problem(tiny), plan, k_max=6)
     col = record.column("r_sigma")
     assert col.size == 7
     assert record.at_iteration(6, "r_sigma") == col[-1]
@@ -614,9 +611,8 @@ def test_cgls_early_stop_records_converged_iterate():
 def test_run_cppd_dispatch_and_kind_checks(tiny):
     plan = scalar_steps(tiny["L"], rho=0.1)
     spec = lsq_problem(tiny)
-    final_a, _ = run_cppd(spec, plan, k_max=5)
-    final_b, _ = run_cppd_lsq(spec, plan, k_max=5)
-    assert np.array_equal(final_a.x, final_b.x)
+    final, _ = run_cppd(spec, plan, k_max=5)
+    assert final.iteration == 5
     with pytest.raises(ValueError, match="expects an lsq"):
         run_gd_lsq(
             ProblemSpec(
@@ -629,12 +625,8 @@ def test_run_cppd_dispatch_and_kind_checks(tiny):
             alpha=1.0,
             k_max=2,
         )
-    with pytest.raises(ValueError, match="expects a tvlsq"):
-        run_cppd_tvlsq(spec, plan, k_max=2)
-    with pytest.raises(ValueError, match="expects a tvclsq"):
-        run_cppd_tvclsq(spec, plan, k_max=2)
     with pytest.raises(ValueError, match="k_max"):
-        run_cppd_lsq(spec, plan, k_max=0)
+        run_cppd(spec, plan, k_max=0)
 
 
 # -------------------------------------------------------- convergence facts
@@ -643,7 +635,7 @@ def test_run_cppd_dispatch_and_kind_checks(tiny):
 def test_lsq_converges_on_consistent_data(tiny):
     spec = lsq_problem(tiny)
     plan = scalar_steps(tiny["L"], rho=0.3)
-    _, record = run_cppd_lsq(
+    _, record = run_cppd(
         spec, plan, k_max=1500, reference=tiny["phantom"].image, record_stride=100
     )
     assert record.at_iteration(1500, "image_rmse") < 1e-6
@@ -663,7 +655,7 @@ def test_tvclsq_kkt_conditions_at_convergence(tiny):
         active=tiny["active"],
     )
     plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
-    final, record = run_cppd_tvclsq(
+    final, record = run_cppd(
         spec, plan, k_max=6000, record_stride=1000, validate_prox=True
     )
     # primal feasibility: the TV of the image respects the constraint
@@ -693,7 +685,7 @@ def test_tvclsq_prox_residual_at_rounding_level(tiny):
         nu=tv_weight(tiny),
     )
     plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
-    _, record = run_cppd_tvclsq(
+    _, record = run_cppd(
         spec, plan, k_max=300, record_stride=30, validate_prox=True
     )
     assert np.all(np.asarray(record.column("beta")[1:]) > 0)
@@ -716,9 +708,9 @@ def test_tvlsq_beta_zero_matches_lsq_image(tiny):
         active=tiny["active"],
     )
     plan_tv = scalar_steps(spectral_norm(spec_tv.operator()), rho=0.1)
-    final_tv, _ = run_cppd_tvlsq(spec_tv, plan_tv, k_max=600)
+    final_tv, _ = run_cppd(spec_tv, plan_tv, k_max=600)
     spec_ls = lsq_problem(tiny)
     plan_ls = scalar_steps(tiny["L"], rho=0.1)
-    final_ls, _ = run_cppd_lsq(spec_ls, plan_ls, k_max=600)
+    final_ls, _ = run_cppd(spec_ls, plan_ls, k_max=600)
     active = tiny["active"]
     assert np.max(np.abs(final_tv.x[active] - final_ls.x[active])) <= 5e-3

@@ -15,7 +15,7 @@ from pdtomo.ct import (
     gradient_norm,
     projector,
 )
-from pdtomo.linop import LinearMap, diagonal, from_dense, identity, materialize_dense, stack
+from pdtomo.linop import LinearMap, from_dense, identity, materialize_dense, stack
 from pdtomo.spectral import (
     EigenSet,
     StepPlan,
@@ -276,7 +276,7 @@ def test_apply_tau_dispatch(rng):
     assert np.allclose(scalar_steps(2.0, 1.0).apply_tau(v), v / 2.0)
     diag_plan = StepPlan(kind="diagonal", sigma=np.ones(3), tau=np.array([1.0, 2.0, 4.0]))
     assert np.allclose(diag_plan.apply_tau(v), v * [1.0, 2.0, 4.0])
-    map_plan = StepPlan(kind="lowrank", sigma=1.0, tau=diagonal(np.full(3, 3.0)))
+    map_plan = StepPlan(kind="lowrank", sigma=1.0, tau=from_dense(np.diag(np.full(3, 3.0))))
     assert np.allclose(map_plan.apply_tau(v), 3.0 * v)
 
 
