@@ -163,14 +163,16 @@ def cached_eigenpairs(cfg: ExperimentConfig, grid, geom, a_map) -> EigenSet:
 
 
 def build_plan(cfg: ExperimentConfig, problem: ProblemSpec, grid, geom):
+    """The configured step plan, built at rho = 1 and scaled by cfg.rho."""
     a_map = problem.operator()
     if cfg.plan == "scalar":
-        L = spectral_norm(a_map, cfg.seed)
-        return scalar_steps(L, cfg.rho)
-    if cfg.plan == "diagonal":
-        return diagonal_steps(a_map, rho=cfg.rho)
-    eigs = cached_eigenpairs(cfg, grid, geom, a_map)
-    return lowrank_steps(a_map, cfg.k_eigs, rho=cfg.rho, seed=cfg.seed, eigs=eigs)
+        plan = scalar_steps(spectral_norm(a_map, cfg.seed))
+    elif cfg.plan == "diagonal":
+        plan = diagonal_steps(a_map)
+    else:
+        eigs = cached_eigenpairs(cfg, grid, geom, a_map)
+        plan = lowrank_steps(a_map, eigs, seed=cfg.seed)
+    return plan.scaled(cfg.rho)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -257,7 +259,12 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
     parent = ensure_dir(cfg.outdir)
     runs = []
     for raw in values:
-        value = cast(raw)
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise ConfigError(
+                f"cannot parse sweep value {raw!r} as {cast.__name__} for {parameter}"
+            ) from None
         sub = replace(
             cfg,
             **{field_name: value},

@@ -86,8 +86,12 @@ class ExperimentConfig:
             )
         if self.problem in ("tvlsq", "tvclsq") and self.nx < 2:
             raise ConfigError("TV problems need nx >= 2: a one-pixel image has no gradient")
-        if self.k_eigs < 1:
-            raise ConfigError("k_eigs must be >= 1")
+        if not 1 <= self.k_eigs <= self.nx * self.nx:
+            raise ConfigError(f"k_eigs must be in [1, nx*nx = {self.nx * self.nx}]")
+        if self.beta < 0:
+            raise ConfigError("beta must be nonnegative")
+        if self.blur_width < 0:
+            raise ConfigError("blur_width must be nonnegative")
         if self.gamma != "phantom-tv":
             try:
                 value = float(self.gamma)

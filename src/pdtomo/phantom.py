@@ -38,8 +38,6 @@ class Phantom:
     image: np.ndarray
     grid: ImageGrid
     seed: int
-    fat_value: float = FAT_VALUE
-    fibro_value: float = FIBRO_VALUE
 
     @property
     def tv_value(self) -> float:

@@ -37,7 +37,7 @@ from .prox import (
     prox_tvc_conjugate,
     project_l1_ball_sorted,
 )
-from .spectral import StepPlan, spectral_norm
+from .spectral import StepPlan
 
 PROBLEM_KINDS = ("lsq", "tvlsq", "tvclsq")
 
@@ -326,17 +326,21 @@ def _prox_check(
     problem: ProblemSpec, prev: SaddleState, new: SaddleState, plan: StepPlan, a_map
 ) -> dict:
     """Distance of the l1-ball dual update prev -> new from the
-    sort-based projection, with the fixed bound `default_l1_tol`.  The
-    dual argument is rebuilt bit for bit at the cost of one forward
-    apply."""
+    sort-based projection, with the fixed bound `default_l1_tol`;
+    RuntimeError when the distance exceeds the bound.  The dual argument
+    is rebuilt bit for bit at the cost of one forward apply."""
     m_s = problem.x_map.range_dim
     v_g = (prev.lam + plan.sigma * a_map(new.xbar))[m_s:]
     radius = problem.nu * problem.gamma * plan.sigma
     ref_g = v_g - project_l1_ball_sorted(v_g, radius).value
-    return {
-        "prox_residual": float(np.linalg.norm(new.lam[m_s:] - ref_g)),
-        "prox_tol": default_l1_tol(v_g),
-    }
+    residual = float(np.linalg.norm(new.lam[m_s:] - ref_g))
+    bound = default_l1_tol(v_g)
+    if not residual <= bound:
+        raise RuntimeError(
+            f"dual prox cross-check failed at iteration {new.iteration}: "
+            f"residual {residual:.3e} exceeds its bound {bound:.3e}"
+        )
+    return {"prox_residual": residual, "prox_tol": bound}
 
 
 class _DivergenceGuard:
@@ -372,7 +376,8 @@ def run_cppd(
 
     With validate_prox=True a tvclsq dual update is cross-checked at
     each recorded iteration against the exact sort-based l1-ball
-    projection and the residual recorded.
+    projection and the residual recorded; a residual above its bound
+    raises RuntimeError.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -409,11 +414,12 @@ def run_gd_lsq(
     problem: ProblemSpec,
     alpha: float,
     k_max: int,
+    L: float,
     reference: Vector | None = None,
-    L: float | None = None,
     record_stride: int = 1,
 ) -> tuple[SaddleState, ConvergenceRecord]:
-    """Gradient descent f+ = f - (alpha/L^2) X^T (X f - g) from zero.
+    """Gradient descent f+ = f - (alpha/L^2) X^T (X f - g) from zero,
+    L an upper bound on ||X||.
 
     Steps with alpha outside (0, 2) are allowed but flagged, since the
     fixed-point iteration is then no longer a contraction.
@@ -424,8 +430,6 @@ def run_gd_lsq(
         warnings.warn(
             f"gradient-descent relaxation alpha={alpha} outside (0, 2)", RuntimeWarning
         )
-    if L is None:
-        L = spectral_norm(problem.x_map)
     x_map, g = problem.x_map, problem.g
     step = alpha / L**2
     x = np.zeros(x_map.domain_dim)

@@ -4,12 +4,13 @@ One Lanczos engine serves every spectral quantity: the spectral norm,
 the leading eigenpairs of A^T A, and the sigma consistent with a
 matrix step T.  Also builds the truncated-inverse low-rank step matrix
 T from those eigenpairs (optionally spatially smoothed) and diagonal
-row/column-sum step matrices.
+row/column-sum step matrices.  Every plan is built at step ratio
+rho = 1; `StepPlan.scaled` applies another rho.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,20 +71,24 @@ class EigenSet:
 class StepPlan:
     """Primal/dual step sizes for a CPPD run.
 
-    kind "scalar": sigma and tau are positive scalars with
-    sigma*tau = 1/L^2.  kind "diagonal": sigma and tau are per-component
-    vectors (row/column-sum reciprocals).  kind "lowrank": tau is a
+    Scalar plan: sigma and tau are positive scalars with
+    sigma*tau = 1/L^2.  Diagonal plan: sigma and tau are per-component
+    vectors (row/column-sum reciprocals).  Low-rank plan: tau is a
     symmetric LinearMap approximating (A^T A)^{-1} and sigma is the
-    scalar 1/||T A^T A||.  The ratio rho is already folded into the
-    stored steps (sigma scaled up by rho, tau down).
+    scalar 1/||T A^T A||.
     """
 
-    kind: str
     sigma: float | np.ndarray
     tau: float | np.ndarray | LinearMap
-    rho: float = 1.0
-    L: float | None = None
-    eigs: EigenSet | None = field(default=None, repr=False)
+
+    def scaled(self, rho: float) -> "StepPlan":
+        """The plan at step ratio rho: sigma times rho, tau (or T)
+        divided by rho, so the step product and the step condition hold."""
+        if not rho > 0:
+            raise ValueError("rho must be positive")
+        if isinstance(self.tau, LinearMap):
+            return StepPlan(rho * self.sigma, scaled(1.0 / rho, self.tau))
+        return StepPlan(rho * self.sigma, self.tau / rho)
 
     def apply_tau(self, v: Vector) -> np.ndarray:
         """Apply the primal step (scalar, diagonal, or matrix T) to v."""
@@ -244,15 +249,13 @@ def smooth_eigenset(eigs: EigenSet, smoother: LinearMap) -> EigenSet:
     return EigenSet(out, eigs.values.copy())
 
 
-def diagonal_steps(map_: LinearMap, rho: float = 1.0) -> StepPlan:
+def diagonal_steps(map_: LinearMap) -> StepPlan:
     """Row/column-sum step vectors for a map with nonnegative entries.
 
     Sigma_i = 1 / (row sum i), T_j = 1 / (column sum j), computed
     matrix-free by applying the map to all-ones vectors; zero sums give
     a zero step for that component.
     """
-    if not rho > 0:
-        raise ValueError("rho must be positive")
     row_sums = map_(np.ones(map_.domain_dim))
     col_sums = map_.adjoint(np.ones(map_.range_dim))
     if np.any(row_sums < -1e-12) or np.any(col_sums < -1e-12):
@@ -261,7 +264,7 @@ def diagonal_steps(map_: LinearMap, rho: float = 1.0) -> StepPlan:
     np.divide(1.0, row_sums, out=sigma, where=row_sums > 0)
     tau = np.zeros_like(col_sums)
     np.divide(1.0, col_sums, out=tau, where=col_sums > 0)
-    return StepPlan(kind="diagonal", sigma=rho * sigma, tau=tau / rho, rho=rho)
+    return StepPlan(sigma, tau)
 
 
 def sigma_for_T(map_: LinearMap, t_map: LinearMap, seed: int = 0) -> float:
@@ -276,44 +279,17 @@ def sigma_for_T(map_: LinearMap, t_map: LinearMap, seed: int = 0) -> float:
     return 1.0 / top
 
 
-def scalar_steps(L: float, rho: float, safety: float = 1.0) -> StepPlan:
-    """sigma = rho/L, tau = 1/(rho L): the equality case sigma*tau = 1/L^2.
-
-    `safety` scales L before use; values below 1 deliberately violate
-    the step condition as a divergence diagnostic.
-    """
-    if not (L > 0 and rho > 0):
-        raise ValueError("L and rho must be positive")
-    if not 0 < safety <= 1:
-        raise ValueError("safety factor must be in (0, 1]")
-    l_eff = safety * L
-    return StepPlan(
-        kind="scalar", sigma=rho / l_eff, tau=1.0 / (rho * l_eff), rho=rho, L=l_eff
-    )
+def scalar_steps(L: float) -> StepPlan:
+    """sigma = tau = 1/L: the equality case sigma*tau = 1/L^2."""
+    if not L > 0:
+        raise ValueError("L must be positive")
+    return StepPlan(1.0 / L, 1.0 / L)
 
 
-def lowrank_steps(
-    map_: LinearMap,
-    k: int,
-    rho: float = 1.0,
-    seed: int = 0,
-    smoother: LinearMap | None = None,
-    eigs: EigenSet | None = None,
-) -> StepPlan:
-    """Assemble a low-rank plan: eigenpairs, T, and the matching sigma.
-
-    Pass a precomputed `eigs` (e.g. loaded from cache) to skip the
-    eigenpair stage.  The ratio rho scales sigma up and T down,
-    leaving the step product unchanged.
-    """
-    if eigs is None:
-        eigs = leading_eigenpairs(map_, k, seed=seed)
-    if smoother is not None:
-        eigs = smooth_eigenset(eigs, smoother)
+def lowrank_steps(map_: LinearMap, eigs: EigenSet, seed: int = 0) -> StepPlan:
+    """The low-rank plan T = build_lowrank_T(eigs) with sigma = 1/rho(T A^T A)."""
     t_map = build_lowrank_T(eigs)
-    sigma0 = sigma_for_T(map_, t_map, seed=seed)
-    tau = scaled(1.0 / rho, t_map)
-    return StepPlan(kind="lowrank", sigma=rho * sigma0, tau=tau, rho=rho, eigs=eigs)
+    return StepPlan(sigma_for_T(map_, t_map, seed=seed), t_map)
 
 
 def convergence_matrix(a_dense: np.ndarray, sigma, tau) -> np.ndarray:

@@ -9,7 +9,7 @@ perfectly-preconditioned iteration that terminates in two steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class Trajectory2D:
 
     xs: np.ndarray
     lams: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
@@ -46,14 +45,14 @@ class Trajectory2D:
         return list(zip(self.xs, self.lams))
 
 
-def _iterate_2x2(m: np.ndarray, x0: float, lam0: float, k_max: int, params: dict) -> Trajectory2D:
+def _iterate_2x2(m: np.ndarray, x0: float, lam0: float, k_max: int) -> Trajectory2D:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     states = np.empty((k_max + 1, 2))
     states[0] = (x0, lam0)
     for k in range(k_max):
         states[k + 1] = m @ states[k]
-    return Trajectory2D(states[:, 0], states[:, 1], params)
+    return Trajectory2D(states[:, 0], states[:, 1])
 
 
 def forward_euler_s0(x0: float, lam0: float, alpha: float, k_max: int) -> Trajectory2D:
@@ -64,7 +63,7 @@ def forward_euler_s0(x0: float, lam0: float, alpha: float, k_max: int) -> Trajec
     converges for alpha != 0.
     """
     m = np.array([[1.0, -alpha], [alpha, 1.0]])
-    return _iterate_2x2(m, x0, lam0, k_max, {"alpha": alpha, "potential": "s0"})
+    return _iterate_2x2(m, x0, lam0, k_max)
 
 
 def forward_euler_s1(x0: float, lam0: float, alpha: float, k_max: int) -> Trajectory2D:
@@ -75,7 +74,7 @@ def forward_euler_s1(x0: float, lam0: float, alpha: float, k_max: int) -> Trajec
     """
     f = 1.0 - 2.0 * alpha
     m = np.array([[f, 0.0], [0.0, f]])
-    return _iterate_2x2(m, x0, lam0, k_max, {"alpha": alpha, "potential": "s1"})
+    return _iterate_2x2(m, x0, lam0, k_max)
 
 
 def backward_euler(
@@ -103,7 +102,7 @@ def backward_euler(
     for k in range(k_max):
         sol = np.linalg.solve(block, np.concatenate([xs[k], lams[k]]))
         xs[k + 1], lams[k + 1] = sol[:n], sol[n:]
-    return Trajectory2D(xs, lams, {"alpha": alpha})
+    return Trajectory2D(xs, lams)
 
 
 def abe_matrix(theta: float, a: float, sigma: float) -> np.ndarray:
@@ -123,7 +122,7 @@ def abe_s0(x0: float, lam0: float, theta: float, a: float, sigma: float, k_max: 
     if a > 1:
         raise ValueError("the scheme is analyzed for a <= 1")
     m = abe_matrix(theta, a, sigma)
-    return _iterate_2x2(m, x0, lam0, k_max, {"theta": theta, "a": a, "sigma": sigma})
+    return _iterate_2x2(m, x0, lam0, k_max)
 
 
 def cppd_matrix(a: float, sigma: float) -> np.ndarray:
@@ -144,7 +143,7 @@ def cppd_1d_quadratic(x0: float, lam0: float, a: float, sigma: float, k_max: int
     if a > 1:
         raise ValueError("the scheme is analyzed for a <= 1")
     m = cppd_matrix(a, sigma)
-    return _iterate_2x2(m, x0, lam0, k_max, {"a": a, "sigma": sigma})
+    return _iterate_2x2(m, x0, lam0, k_max)
 
 
 def sigma_sweep(
@@ -190,7 +189,7 @@ def perfect_preconditioning(
     for k in range(k_max):
         us[k + 1] = us[k] - lams[k] / rho
         lams[k + 1] = rho * us[k + 1]
-    return Trajectory2D(us, lams, {"rho": rho})
+    return Trajectory2D(us, lams)
 
 
 def classify_critical_point(h: np.ndarray) -> str:

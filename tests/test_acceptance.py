@@ -68,7 +68,7 @@ def oversampled(desk):
 
 @pytest.fixture(scope="module")
 def long_lsq_run(desk, oversampled):
-    plan = scalar_steps(oversampled.L, rho=0.1)
+    plan = scalar_steps(oversampled.L).scaled(0.1)
     return run_cppd(
         oversampled.problem,
         plan,
@@ -270,7 +270,7 @@ def test_06_spectral_oracles():
         gen = np.random.default_rng(seed)
         mat = gen.uniform(0.1, 1.0, size=(7, 5))
         for rho in (0.5, 1.0, 2.0):
-            plan = diagonal_steps(from_dense(mat), rho=rho)
+            plan = diagonal_steps(from_dense(mat)).scaled(rho)
             b = convergence_matrix(mat, plan.sigma, plan.tau)
             assert np.linalg.eigvalsh(b).min() >= -1e-8
 
@@ -289,7 +289,7 @@ def test_08_solver_ordering_at_matched_iterations(desk, oversampled, long_lsq_ru
     reference = desk.phantom.image
     grads = {0.1: long_lsq_run[1].at_iteration(500, "grad_mag")}
     for rho in (0.05, 0.2, 1.0, 5.0):
-        plan = scalar_steps(oversampled.L, rho=rho)
+        plan = scalar_steps(oversampled.L).scaled(rho)
         _, rec = run_cppd(
             oversampled.problem, plan, 500, reference=reference, record_stride=100
         )
@@ -312,7 +312,8 @@ def test_09_lowrank_preconditioning_gains(desk, oversampled, long_lsq_run):
     scalar_rmse = long_lsq_run[1].at_iteration(200, "image_rmse")
     rmses = []
     for k in (1, 5, 25):
-        plan = lowrank_steps(oversampled.x_map, k, rho=0.1, seed=0)
+        eigs = leading_eigenpairs(oversampled.x_map, k, seed=0)
+        plan = lowrank_steps(oversampled.x_map, eigs, seed=0).scaled(0.1)
         _, rec = run_cppd(
             oversampled.problem, plan, 200, reference=desk.phantom.image,
             record_stride=100,
@@ -331,7 +332,7 @@ def test_10_tv_constrained_recovery_on_sparse_views(desk):
     tvc = ProblemSpec(
         "tvclsq", x_map, g, d_map=d_map, gamma=ph.tv_value, nu=nu, active=desk.active
     )
-    plan = scalar_steps(spectral_norm(tvc.operator(), seed=0), rho=1.0)
+    plan = scalar_steps(spectral_norm(tvc.operator(), seed=0))
     state, rec = run_cppd(
         tvc, plan, 4000, reference=ph.image, record_stride=50, validate_prox=True
     )
@@ -346,7 +347,7 @@ def test_10_tv_constrained_recovery_on_sparse_views(desk):
 
     # the constraint pays off against plain least squares on the same data
     lsq = ProblemSpec("lsq", x_map, g, active=desk.active)
-    plan_l = scalar_steps(spectral_norm(x_map, seed=0), rho=0.1)
+    plan_l = scalar_steps(spectral_norm(x_map, seed=0)).scaled(0.1)
     _, rec_l = run_cppd(lsq, plan_l, 1000, reference=ph.image, record_stride=50)
     constrained = rec.at_iteration(1000, "image_rmse")
     plain = rec_l.at_iteration(1000, "image_rmse")

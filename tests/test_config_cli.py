@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdtomo import cli, spectral
+from pdtomo import cli, solver, spectral
 from pdtomo.config import (
     ConfigError,
     ExperimentConfig,
@@ -21,6 +21,7 @@ from pdtomo.config import (
 )
 from pdtomo.ct import build_geometry
 from pdtomo.fileio import save_eigenset
+from pdtomo.prox import ProxResult
 from pdtomo.solver import CSV_COLUMNS
 from pdtomo.spectral import EigenSet
 
@@ -490,6 +491,51 @@ def test_main_tv_problem_on_one_pixel_grid_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "nx >= 2" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
+
+
+@pytest.mark.parametrize(
+    "command, settings, extra, message",
+    [
+        ("sweep", (), ["--param", "rho", "--values", "0.5,abc"], "'abc' as float"),
+        ("sweep", (), ["--param", "K", "--values", "2.5"], "'2.5' as int"),
+        ("run", ("problem=tvlsq", "beta=-0.1"), [], "beta must be nonnegative"),
+        ("run", ("nx=4", "plan=lowrank", "k_eigs=50"), [], "k_eigs must be in [1, nx*nx = 16]"),
+        ("run", ("plan=lowrank", "k_eigs=2", "blur_width=-1.0"), [], "blur_width"),
+    ],
+    ids=["sweep-rho-abc", "sweep-K-2.5", "beta-negative", "k_eigs-above-nx2", "blur-negative"],
+)
+def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings, extra, message):
+    args = [command, "-o", str(tmp_path / "out"), *extra]
+    for pair in SMALL_RUN + settings + (f"cache_dir={tmp_path / 'cache'}",):
+        args += ["--set", pair]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_main_failed_prox_cross_check_exit_code(tmp_path, monkeypatch, capsys):
+    # a dual prox off by 1e-3 per entry fails validate_prox at the first
+    # recorded iteration
+    exact = solver.prox_tvc_conjugate
+
+    def perturbed(*args):
+        res = exact(*args)
+        return ProxResult(res.value + 1e-3, res.aux)
+
+    monkeypatch.setattr(solver, "prox_tvc_conjugate", perturbed)
+    args = ["run", "-o", str(tmp_path / "out")]
+    for pair in SMALL_RUN + ("problem=tvclsq",):
+        args += ["--set", pair]
+    # without the cross-check the perturbed run completes
+    assert cli.main(args) == 0
+    assert cli.main(args + ["--set", "validate_prox=true"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: [solve] dual prox cross-check failed at iteration 10:")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):

@@ -32,6 +32,7 @@ from pdtomo.linop import LinearMap
 from pdtomo.spectral import (
     StepPlan,
     diagonal_steps,
+    leading_eigenpairs,
     lowrank_steps,
     scalar_steps,
     spectral_norm,
@@ -130,7 +131,7 @@ def test_single_step_matches_1d_quadratic_matrix(rng):
     for _ in range(30):
         a_prod = rng.uniform(0.05, 1.0)
         sigma = 10 ** rng.uniform(-1, 1)
-        plan = StepPlan(kind="scalar", sigma=sigma, tau=a_prod / sigma)
+        plan = StepPlan(sigma=sigma, tau=a_prod / sigma)
         spec = ProblemSpec(kind="lsq", x_map=identity(1), g=np.zeros(1))
         prox = make_prox(spec)
         z = rng.standard_normal(2)
@@ -158,7 +159,7 @@ def chain_steps(problem, plan, k_max):
 
 
 def test_lsq_loop_equals_repeated_steps(tiny):
-    plan = scalar_steps(tiny["L"], rho=0.5)
+    plan = scalar_steps(tiny["L"]).scaled(0.5)
     spec = lsq_problem(tiny)
     final, _ = run_cppd(spec, plan, k_max=25)
     manual = chain_steps(spec, plan, 25)
@@ -177,7 +178,7 @@ def test_tvlsq_loop_equals_repeated_steps(tiny):
         beta=0.05,
         nu=nu,
     )
-    plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
+    plan = scalar_steps(spectral_norm(spec.operator()))
     final, _ = run_cppd(spec, plan, k_max=20)
     manual = chain_steps(spec, plan, 20)
     assert np.array_equal(final.x, manual.x)
@@ -195,7 +196,7 @@ def test_tvclsq_loop_equals_repeated_steps(tiny):
         gamma=gamma,
         nu=nu,
     )
-    plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
+    plan = scalar_steps(spectral_norm(spec.operator()))
     final, _ = run_cppd(spec, plan, k_max=15)
     manual = chain_steps(spec, plan, 15)
     assert np.array_equal(final.x, manual.x)
@@ -216,7 +217,8 @@ def test_diagonal_plan_loop_equals_repeated_steps(tiny):
 def test_lowrank_plan_loop_equals_repeated_steps(tiny):
     # the primal step is the matrix T, applied as a LinearMap
     spec = lsq_problem(tiny)
-    plan = lowrank_steps(spec.operator(), 4, rho=0.5)
+    a_map = spec.operator()
+    plan = lowrank_steps(a_map, leading_eigenpairs(a_map, 4)).scaled(0.5)
     assert isinstance(plan.tau, LinearMap)
     final, _ = run_cppd(spec, plan, k_max=12)
     manual = chain_steps(spec, plan, 12)
@@ -227,7 +229,7 @@ def test_lowrank_plan_loop_equals_repeated_steps(tiny):
 
 def test_step_carries_products_exactly(tiny):
     # the carried A x and A^T lambda equal fresh applies of the operator
-    plan = scalar_steps(tiny["L"], rho=0.5)
+    plan = scalar_steps(tiny["L"]).scaled(0.5)
     spec = lsq_problem(tiny)
     state = chain_steps(spec, plan, 7)
     a_map = spec.operator()
@@ -241,7 +243,7 @@ def test_step_carries_products_exactly(tiny):
 
 def test_dual_residual_identity(tiny):
     # A x+ - y+ = -[(lam - lam+)/sigma + A(x+ - x)] holds exactly
-    plan = scalar_steps(tiny["L"], rho=1.0)
+    plan = scalar_steps(tiny["L"])
     spec = lsq_problem(tiny)
     a_map = spec.operator()
     prox = make_prox(spec)
@@ -260,7 +262,7 @@ def test_dual_residual_identity(tiny):
 
 
 def test_recorded_metrics_match_fresh_recomputation(tiny):
-    plan = scalar_steps(tiny["L"], rho=0.3)
+    plan = scalar_steps(tiny["L"]).scaled(0.3)
     spec = lsq_problem(tiny)
     ref = tiny["phantom"].image
     final, record = run_cppd(spec, plan, k_max=30, reference=ref)
@@ -437,14 +439,14 @@ def test_make_prox_tvclsq_matches_sorted_projection(tiny, rng):
 
 def test_divergence_guard_trips_on_bad_norm_estimate(tiny):
     # deliberately underestimating L violates sigma*tau <= 1/L^2
-    plan = scalar_steps(tiny["L"], rho=1.0, safety=0.01)
+    plan = scalar_steps(0.01 * tiny["L"])
     with pytest.raises(DivergenceError, match="iteration"):
         run_cppd(lsq_problem(tiny), plan, k_max=300)
 
 
 def test_divergence_guard_trip_iterations(tiny):
     # the iterations at which the unbounded-list guard tripped
-    plan = scalar_steps(tiny["L"], rho=1.0, safety=0.01)
+    plan = scalar_steps(0.01 * tiny["L"])
     with pytest.raises(DivergenceError, match=r"\(at iteration 12\)"):
         run_cppd(lsq_problem(tiny), plan, k_max=300)
     with pytest.warns(RuntimeWarning, match="alpha"):
@@ -470,7 +472,7 @@ def test_divergence_guard_history_is_bounded():
 
 
 def test_step_rejects_nonfinite_state(tiny):
-    plan = scalar_steps(tiny["L"], rho=1.0)
+    plan = scalar_steps(tiny["L"])
     spec = lsq_problem(tiny)
     a_map = spec.operator()
     state = SaddleState(
@@ -487,7 +489,7 @@ def test_step_rejects_nonfinite_state(tiny):
 
 
 def test_record_iteration_zero_and_stride(tiny):
-    plan = scalar_steps(tiny["L"], rho=0.1)
+    plan = scalar_steps(tiny["L"]).scaled(0.1)
     _, record = run_cppd(lsq_problem(tiny), plan, k_max=10, record_stride=3)
     assert record.iters == [0, 3, 6, 9, 10]
     _, dense_rec = run_cppd(lsq_problem(tiny), plan, k_max=4)
@@ -495,7 +497,7 @@ def test_record_iteration_zero_and_stride(tiny):
 
 
 def test_csv_schema_and_round_trip(tiny, tmp_path):
-    plan = scalar_steps(tiny["L"], rho=0.1)
+    plan = scalar_steps(tiny["L"]).scaled(0.1)
     _, record = run_cppd(
         lsq_problem(tiny), plan, k_max=5, reference=tiny["phantom"].image
     )
@@ -536,7 +538,7 @@ def test_record_rejects_unknown_metric():
 
 
 def test_record_lookup_helpers(tiny):
-    plan = scalar_steps(tiny["L"], rho=0.1)
+    plan = scalar_steps(tiny["L"]).scaled(0.1)
     _, record = run_cppd(lsq_problem(tiny), plan, k_max=6)
     col = record.column("r_sigma")
     assert col.size == 7
@@ -609,7 +611,7 @@ def test_cgls_early_stop_records_converged_iterate():
 
 
 def test_run_cppd_dispatch_and_kind_checks(tiny):
-    plan = scalar_steps(tiny["L"], rho=0.1)
+    plan = scalar_steps(tiny["L"]).scaled(0.1)
     spec = lsq_problem(tiny)
     final, _ = run_cppd(spec, plan, k_max=5)
     assert final.iteration == 5
@@ -624,6 +626,7 @@ def test_run_cppd_dispatch_and_kind_checks(tiny):
             ),
             alpha=1.0,
             k_max=2,
+            L=tiny["L"],
         )
     with pytest.raises(ValueError, match="k_max"):
         run_cppd(spec, plan, k_max=0)
@@ -634,7 +637,7 @@ def test_run_cppd_dispatch_and_kind_checks(tiny):
 
 def test_lsq_converges_on_consistent_data(tiny):
     spec = lsq_problem(tiny)
-    plan = scalar_steps(tiny["L"], rho=0.3)
+    plan = scalar_steps(tiny["L"]).scaled(0.3)
     _, record = run_cppd(
         spec, plan, k_max=1500, reference=tiny["phantom"].image, record_stride=100
     )
@@ -654,7 +657,7 @@ def test_tvclsq_kkt_conditions_at_convergence(tiny):
         nu=nu,
         active=tiny["active"],
     )
-    plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
+    plan = scalar_steps(spectral_norm(spec.operator()))
     final, record = run_cppd(
         spec, plan, k_max=6000, record_stride=1000, validate_prox=True
     )
@@ -684,7 +687,7 @@ def test_tvclsq_prox_residual_at_rounding_level(tiny):
         gamma=0.3 * tiny["phantom"].tv_value,
         nu=tv_weight(tiny),
     )
-    plan = scalar_steps(spectral_norm(spec.operator()), rho=1.0)
+    plan = scalar_steps(spectral_norm(spec.operator()))
     _, record = run_cppd(
         spec, plan, k_max=300, record_stride=30, validate_prox=True
     )
@@ -707,10 +710,10 @@ def test_tvlsq_beta_zero_matches_lsq_image(tiny):
         nu=nu,
         active=tiny["active"],
     )
-    plan_tv = scalar_steps(spectral_norm(spec_tv.operator()), rho=0.1)
+    plan_tv = scalar_steps(spectral_norm(spec_tv.operator())).scaled(0.1)
     final_tv, _ = run_cppd(spec_tv, plan_tv, k_max=600)
     spec_ls = lsq_problem(tiny)
-    plan_ls = scalar_steps(tiny["L"], rho=0.1)
+    plan_ls = scalar_steps(tiny["L"]).scaled(0.1)
     final_ls, _ = run_cppd(spec_ls, plan_ls, k_max=600)
     active = tiny["active"]
     assert np.max(np.abs(final_tv.x[active] - final_ls.x[active])) <= 5e-3

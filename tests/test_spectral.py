@@ -231,32 +231,27 @@ def test_smooth_collapse_detected():
 
 def test_scalar_steps_equality_case():
     # power-of-two values make the product identity bitwise exact
-    plan = scalar_steps(L=4.0, rho=2.0)
-    assert plan.kind == "scalar"
+    plan = scalar_steps(L=4.0)
+    assert plan.sigma == plan.tau == 0.25
+    plan = plan.scaled(2.0)
     assert plan.sigma * plan.tau == 1.0 / 16.0
-    assert plan.sigma / plan.tau == pytest.approx(4.0)
-    assert plan.L == 4.0 and plan.rho == 2.0
-    generic = scalar_steps(L=5.3, rho=0.7)
+    assert plan.sigma / plan.tau == 4.0
+    generic = scalar_steps(L=5.3).scaled(0.7)
     assert generic.sigma * generic.tau == pytest.approx(1.0 / 5.3**2, rel=1e-15)
 
 
-def test_scalar_steps_safety_factor():
-    plan = scalar_steps(L=8.0, rho=1.0, safety=0.5)
-    assert plan.L == 4.0 and plan.sigma == 0.25
-    with pytest.raises(ValueError, match="safety"):
-        scalar_steps(1.0, 1.0, safety=0.0)
-    with pytest.raises(ValueError, match="safety"):
-        scalar_steps(1.0, 1.0, safety=1.5)
-    with pytest.raises(ValueError, match="positive"):
-        scalar_steps(0.0, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        scalar_steps(1.0, -1.0)
+def test_scalar_steps_and_scaled_validation():
+    for L in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="L must be positive"):
+            scalar_steps(L)
+    for rho in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            scalar_steps(1.0).scaled(rho)
 
 
 def test_diagonal_steps_row_col_sums():
     a = np.array([[1.0, 2.0], [0.0, 3.0], [0.0, 0.0]])
-    plan = diagonal_steps(from_dense(a), rho=2.0)
-    assert plan.kind == "diagonal"
+    plan = diagonal_steps(from_dense(a)).scaled(2.0)
     assert np.allclose(plan.sigma, [2.0 / 3.0, 2.0 / 3.0, 0.0])
     assert np.allclose(plan.tau, [0.5, 0.1])
     # zero-sum rows stay zero through the reciprocal helper too
@@ -268,15 +263,15 @@ def test_diagonal_steps_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         diagonal_steps(from_dense(np.array([[1.0, -1.0]])))
     with pytest.raises(ValueError, match="rho"):
-        diagonal_steps(identity(2), rho=0.0)
+        diagonal_steps(identity(2)).scaled(0.0)
 
 
 def test_apply_tau_dispatch(rng):
     v = rng.standard_normal(3)
-    assert np.allclose(scalar_steps(2.0, 1.0).apply_tau(v), v / 2.0)
-    diag_plan = StepPlan(kind="diagonal", sigma=np.ones(3), tau=np.array([1.0, 2.0, 4.0]))
+    assert np.allclose(scalar_steps(2.0).apply_tau(v), v / 2.0)
+    diag_plan = StepPlan(sigma=np.ones(3), tau=np.array([1.0, 2.0, 4.0]))
     assert np.allclose(diag_plan.apply_tau(v), v * [1.0, 2.0, 4.0])
-    map_plan = StepPlan(kind="lowrank", sigma=1.0, tau=from_dense(np.diag(np.full(3, 3.0))))
+    map_plan = StepPlan(sigma=1.0, tau=from_dense(np.diag(np.full(3, 3.0))))
     assert np.allclose(map_plan.apply_tau(v), 3.0 * v)
 
 
@@ -303,7 +298,7 @@ def test_scalar_steps_from_spectral_norm_keep_the_step_condition():
     nu = spectral_norm(x_map, seed=7) / gradient_norm(grid)
     for a_map in (x_map, stack([(1.0, x_map), (nu, gradient(grid))])):
         norm = np.linalg.norm(materialize_dense(a_map), 2)
-        plan = scalar_steps(spectral_norm(a_map, seed=7), rho=1.0)
+        plan = scalar_steps(spectral_norm(a_map, seed=7))
         assert 1.0 - 1e-9 <= plan.sigma * plan.tau * norm**2 <= 1.0
 
 
@@ -326,27 +321,42 @@ def test_sigma_for_T_zero_map_raises():
 
 def test_lowrank_steps_assembles_plan(rng):
     amap, a, _, _ = well_gapped_map()
-    plan = lowrank_steps(amap, 2, rho=2.0, seed=0)
-    assert plan.kind == "lowrank" and plan.rho == 2.0
-    assert plan.eigs is not None and plan.eigs.k == 2
+    eigs = leading_eigenpairs(amap, 2, seed=0)
+    plan = lowrank_steps(amap, eigs, seed=0).scaled(2.0)
     assert plan.sigma == pytest.approx(2.0, rel=1e-8)
-    t = build_lowrank_T(plan.eigs)
+    t = build_lowrank_T(eigs)
     v = rng.standard_normal(6)
     assert np.allclose(plan.apply_tau(v), t(v) / 2.0)
 
 
-def test_lowrank_steps_accepts_precomputed_eigenset():
+def test_lowrank_steps_accepts_precomputed_eigenset(rng):
     amap, a, vals, q = well_gapped_map()
     es = EigenSet(q.T[:3], vals[:3])
-    plan = lowrank_steps(amap, 3, eigs=es)
-    assert np.array_equal(plan.eigs.vectors, es.vectors)
+    plan = lowrank_steps(amap, es)
+    v = rng.standard_normal(6)
+    assert np.array_equal(plan.apply_tau(v), build_lowrank_T(es)(v))
 
 
-def test_lowrank_steps_smoother_roundtrip():
-    amap, *_ = well_gapped_map()
-    plan = lowrank_steps(amap, 2, smoother=identity(6))
-    ref = lowrank_steps(amap, 2)
-    assert np.allclose(plan.eigs.vectors, ref.eigs.vectors)
+def test_scaled_plan_moves_sigma_against_tau(rng):
+    # rho scales sigma up and tau (or T) down: the product is kept, the
+    # unscaled plan is left as it was, and rho = 1 changes no bit
+    amap, a, _, _ = well_gapped_map()
+    plans = (
+        scalar_steps(np.linalg.norm(a, 2)),
+        diagonal_steps(from_dense(np.abs(a))),
+        lowrank_steps(amap, leading_eigenpairs(amap, 3, seed=0), seed=0),
+    )
+    v = rng.standard_normal(6)
+    for plan in plans:
+        sigma, tau_v = plan.sigma, plan.apply_tau(v)
+        for rho in (0.1, 1.0, 8.0):
+            out = plan.scaled(rho)
+            assert np.array_equal(out.sigma, rho * sigma)
+            assert np.allclose(out.apply_tau(v), tau_v / rho, rtol=1e-14, atol=0)
+        same = plan.scaled(1.0)
+        assert np.array_equal(same.sigma, sigma)
+        assert np.array_equal(same.apply_tau(v), tau_v)
+        assert np.array_equal(plan.apply_tau(v), tau_v)
 
 
 # ---------------------------------------------------- convergence matrix B
@@ -359,14 +369,14 @@ def min_eig(b):
 def test_convergence_matrix_scalar_plan_is_psd(rng):
     a = rng.standard_normal((5, 4))
     L = np.linalg.norm(a, 2)
-    plan = scalar_steps(L, rho=0.7)
+    plan = scalar_steps(L).scaled(0.7)
     assert min_eig(convergence_matrix(a, plan.sigma, plan.tau)) >= -1e-8
 
 
 def test_convergence_matrix_detects_violated_steps(rng):
     a = rng.standard_normal((5, 4))
     L = np.linalg.norm(a, 2)
-    plan = scalar_steps(L, rho=1.0)
+    plan = scalar_steps(L)
     bad = convergence_matrix(a, 1.3 * plan.sigma, plan.tau)
     assert min_eig(bad) < -1e-8
 
@@ -380,9 +390,10 @@ def test_convergence_matrix_diagonal_plan_is_psd(rng):
 def test_convergence_matrix_lowrank_plan_is_psd():
     amap, a, _, _ = well_gapped_map()
     for k in (1, 3, 6):
-        plan = lowrank_steps(amap, k, seed=0)
-        b = convergence_matrix(a, plan.sigma, plan.tau)
-        assert min_eig(b) >= -1e-8
+        plan = lowrank_steps(amap, leading_eigenpairs(amap, k, seed=0), seed=0)
+        for rho in (1.0, 0.3, 5.0):
+            at_rho = plan.scaled(rho)
+            assert min_eig(convergence_matrix(a, at_rho.sigma, at_rho.tau)) >= -1e-8
 
 
 def test_convergence_matrix_accepts_dense_tau():
