@@ -6,7 +6,7 @@ Subcommands:
   sweep    run the same experiment over a list of rho or K values
   demo     closed-form dynamics and conjugate-transform demonstrations
   phantom  write the phantom, its gradient-magnitude image, and TV value
-  eig      precompute (and cache) leading eigenpairs for the operator
+  eig      precompute (and cache) the low-rank plan: eigenpairs and sigma0
 
 Each run writes `convergence.csv`, `final_image.raw`, `final_image.pgm`,
 and a `manifest` that is itself a valid config reproducing the run.
@@ -45,6 +45,7 @@ from .ct import (
     projector,
 )
 from .fileio import (
+    EIG_FORMAT,
     ensure_dir,
     geometry_digest,
     load_eigenset,
@@ -60,6 +61,7 @@ from .solver import ProblemSpec, run_cgls, run_cppd, run_gd_lsq
 from .spectral import (
     EIG_ENGINE,
     EigenSet,
+    StepPlan,
     leading_eigenpairs,
     diagonal_steps,
     lowrank_steps,
@@ -67,7 +69,7 @@ from .spectral import (
     smooth_eigenset,
     spectral_norm,
 )
-from . import toysaddle
+from . import spectral, toysaddle
 
 
 @contextmanager
@@ -132,7 +134,9 @@ def assemble_problem(cfg: ExperimentConfig, grid, geom, phantom) -> ProblemSpec:
     )
 
 
-def _eig_cache_path(cfg: ExperimentConfig, grid, geom) -> Path:
+def _eig_cache_key(cfg: ExperimentConfig, grid, geom) -> bytes:
+    """sha256 of everything that fixes the low-rank plan's operator A
+    (the seed also fixes nu), the eigenpair engine and the file format."""
     key = "|".join(
         [
             geometry_digest(geom, grid).hex(),
@@ -141,25 +145,33 @@ def _eig_cache_path(cfg: ExperimentConfig, grid, geom) -> Path:
             f"blur{cfg.blur_width!r}",
             EIG_ENGINE,
             f"seed{cfg.seed}",
+            EIG_FORMAT,
         ]
     )
-    digest = hashlib.sha256(key.encode()).hexdigest()[:20]
+    return hashlib.sha256(key.encode()).digest()
+
+
+def _eig_cache_path(cfg: ExperimentConfig, grid, geom) -> Path:
+    digest = _eig_cache_key(cfg, grid, geom).hex()[:20]
     return Path(cfg.cache_dir) / f"eig_{digest}_K{cfg.k_eigs}_w{cfg.blur_width}.bin"
 
 
-def cached_eigenpairs(cfg: ExperimentConfig, grid, geom, a_map) -> EigenSet:
-    """Load eigenpairs from the cache, or compute (and store) them."""
+def cached_eigenpairs(cfg: ExperimentConfig, grid, geom, a_map) -> tuple[EigenSet, float]:
+    """The rho = 1 low-rank plan as (eigenpairs, sigma0): read from the
+    cache when the file's key digest matches, else computed and stored."""
     path = _eig_cache_path(cfg, grid, geom)
+    key = _eig_cache_key(cfg, grid, geom)
     if path.exists():
-        eigs = load_eigenset(path)
-        if eigs.n == a_map.domain_dim and eigs.k == cfg.k_eigs:
-            return eigs
+        eigs, sigma0, stored = load_eigenset(path)
+        if stored == key:
+            return eigs, sigma0
     eigs = leading_eigenpairs(a_map, cfg.k_eigs, seed=cfg.seed)
     if cfg.blur_width > 0:
         eigs = smooth_eigenset(eigs, gaussian_smooth(grid, cfg.blur_width))
+    sigma0 = lowrank_steps(a_map, eigs, seed=cfg.seed).sigma
     ensure_dir(path.parent)
-    save_eigenset(path, eigs)
-    return eigs
+    save_eigenset(path, eigs, sigma0, key)
+    return eigs, sigma0
 
 
 def build_plan(cfg: ExperimentConfig, problem: ProblemSpec, grid, geom):
@@ -170,8 +182,10 @@ def build_plan(cfg: ExperimentConfig, problem: ProblemSpec, grid, geom):
     elif cfg.plan == "diagonal":
         plan = diagonal_steps(a_map)
     else:
-        eigs = cached_eigenpairs(cfg, grid, geom, a_map)
-        plan = lowrank_steps(a_map, eigs, seed=cfg.seed)
+        eigs, sigma0 = cached_eigenpairs(cfg, grid, geom, a_map)
+        # looked up on the module at call time, like lowrank_steps does,
+        # so a wrapper installed on pdtomo.spectral sees every T
+        plan = StepPlan(sigma0, spectral.build_lowrank_T(eigs))
     return plan.scaled(cfg.rho)
 
 
@@ -256,21 +270,24 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
     if not values:
         raise ConfigError("sweep needs at least one value")
     field_name, cast = _SWEEP_FIELDS[parameter]
-    parent = ensure_dir(cfg.outdir)
-    runs = []
+    parsed = []
     for raw in values:
         try:
-            value = cast(raw)
+            parsed.append(cast(raw))
         except ValueError:
             raise ConfigError(
                 f"cannot parse sweep value {raw!r} as {cast.__name__} for {parameter}"
             ) from None
-        sub = replace(
-            cfg,
-            **{field_name: value},
-            outdir=str(parent / f"{parameter}_{value}"),
-        )
-        runs.append((value, sub))
+    # rho only reaches a cppd step plan and K only its low-rank plan;
+    # elsewhere every value would run the same experiment
+    if cfg.solver != "cppd" or (parameter == "K" and cfg.plan != "lowrank"):
+        need = "solver = cppd" + (" and plan = lowrank" if parameter == "K" else "")
+        raise ConfigError(f"a {parameter} sweep needs {need}")
+    parent = ensure_dir(cfg.outdir)
+    runs = [
+        (value, replace(cfg, **{field_name: value}, outdir=str(parent / f"{parameter}_{value}")))
+        for value in parsed
+    ]
 
     columns = ("final_image_rmse", "final_r_sigma", "final_r_tau")
     rows = []
@@ -394,10 +411,11 @@ def compute_eigenpairs(cfg: ExperimentConfig) -> dict:
     geom = build_geom(cfg)
     ph = generate(grid, cfg.seed)
     problem = assemble_problem(cfg, grid, geom, ph)
-    eigs = cached_eigenpairs(cfg, grid, geom, problem.operator())
+    eigs, sigma0 = cached_eigenpairs(cfg, grid, geom, problem.operator())
     return {
         "path": str(_eig_cache_path(cfg, grid, geom)),
         "values": [float(v) for v in eigs.values],
+        "sigma0": sigma0,
     }
 
 
@@ -451,7 +469,7 @@ def main(argv=None) -> int:
     p_ph = sub.add_parser("phantom", help="write phantom images and TV value")
     _add_common(p_ph)
 
-    p_eig = sub.add_parser("eig", help="precompute and cache eigenpairs")
+    p_eig = sub.add_parser("eig", help="precompute and cache the low-rank plan")
     _add_common(p_eig)
 
     try:
@@ -478,7 +496,7 @@ def main(argv=None) -> int:
         elif args.command == "eig":
             res = compute_eigenpairs(_load_cfg(args))
             vals = ", ".join(f"{v:.6e}" for v in res["values"])
-            print(f"eigenvalues [{vals}] cached at {res['path']}")
+            print(f"eigenvalues [{vals}], sigma0 {res['sigma0']!r} cached at {res['path']}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,7 @@ sinograms, eigensets.
 Raw image files are bare little-endian float64 vectors.  Sinograms and
 eigensets carry a small binary header; sinogram headers embed a digest
 of the scan geometry so stale data cannot silently be reused with a
-different scan.
+different scan, and eigenset headers the digest of their cache key.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ from .ct import FanBeamGeometry, ImageGrid, Sinogram
 from .spectral import EigenSet
 
 _SINO_MAGIC = b"SNG1"
-_EIG_MAGIC = b"EIG1"
+# The eigenset format tag; it also joins the eigcache key, so files of an
+# earlier format are never opened.  Header: tag, <II (n, K), the sha256
+# digest of the cache key, <d sigma0; then K values and K x n vectors.
+EIG_FORMAT = "EIG2"
+_EIG_MAGIC = EIG_FORMAT.encode()
+_KEY_BYTES = 32
+_EIG_HEADER = 12 + _KEY_BYTES + 8
 
 
 def geometry_digest(geom: FanBeamGeometry, grid: ImageGrid | None = None) -> bytes:
@@ -110,19 +116,26 @@ def load_sinogram(path, geom: FanBeamGeometry, grid: ImageGrid | None = None) ->
     return Sinogram(values.copy(), geom)
 
 
-def save_eigenset(path, eigs: EigenSet) -> None:
-    """Persist eigenpairs so spectral precomputation can be reused.
+def save_eigenset(path, eigs: EigenSet, sigma0: float, key: bytes) -> None:
+    """Persist a rho = 1 low-rank plan: its eigenpairs, its sigma0 and
+    the 32-byte digest of the cache key they were computed for.
 
     The file is written under a per-process temporary name in the same
     directory and renamed into place, so a concurrent reader sees either
     the previous file or the complete new one, never a partial write.
     """
+    if len(key) != _KEY_BYTES:
+        raise ValueError(f"key digest must be {_KEY_BYTES} bytes, got {len(key)}")
+    if not (np.isfinite(sigma0) and sigma0 > 0):
+        raise ValueError(f"sigma0 must be finite and positive, got {sigma0!r}")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(_EIG_MAGIC)
             fh.write(struct.pack("<II", eigs.n, eigs.k))
+            fh.write(key)
+            fh.write(struct.pack("<d", sigma0))
             fh.write(np.asarray(eigs.values, dtype="<f8").tobytes())
             fh.write(np.asarray(eigs.vectors, dtype="<f8").tobytes())
         os.replace(tmp, path)
@@ -131,14 +144,29 @@ def save_eigenset(path, eigs: EigenSet) -> None:
         raise
 
 
-def load_eigenset(path) -> EigenSet:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _EIG_MAGIC:
-            raise ValueError(f"{path}: not an eigenset file")
-        n, k = struct.unpack("<II", fh.read(8))
-        values = np.frombuffer(fh.read(8 * k), dtype="<f8").copy()
-        vectors = np.frombuffer(fh.read(8 * k * n), dtype="<f8").reshape(k, n).copy()
-    return EigenSet(vectors, values)
+def load_eigenset(path) -> tuple[EigenSet, float, bytes]:
+    """Read what `save_eigenset` wrote: (eigenpairs, sigma0, key digest).
+
+    ValueError naming the path for another format (`EIG1` included), a
+    length that does not match the header, or a sigma0 that is not
+    finite and positive.
+    """
+    blob = Path(path).read_bytes()
+    if blob[:4] != _EIG_MAGIC:
+        raise ValueError(f"{path}: not an eigenset file in the {EIG_FORMAT} format")
+    if len(blob) < _EIG_HEADER:
+        raise ValueError(f"{path}: {len(blob)} bytes, shorter than the {_EIG_HEADER}-byte header")
+    n, k = struct.unpack_from("<II", blob, 4)
+    want = _EIG_HEADER + 8 * k * (n + 1)
+    if len(blob) != want:
+        raise ValueError(f"{path}: {len(blob)} bytes, but {k} pairs of length {n} need {want}")
+    key = blob[12 : 12 + _KEY_BYTES]
+    (sigma0,) = struct.unpack_from("<d", blob, 12 + _KEY_BYTES)
+    if not (np.isfinite(sigma0) and sigma0 > 0):
+        raise ValueError(f"{path}: sigma0 {sigma0!r} is not finite and positive")
+    values = np.frombuffer(blob, "<f8", k, _EIG_HEADER).copy()
+    vectors = np.frombuffer(blob, "<f8", k * n, _EIG_HEADER + 8 * k).reshape(k, n).copy()
+    return EigenSet(vectors, values), sigma0, key
 
 
 def ensure_dir(path) -> Path:

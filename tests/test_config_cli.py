@@ -408,7 +408,7 @@ def test_main_eig_command_and_cache(tmp_path, capsys):
         args += ["--set", pair]
     assert cli.main(args) == 0
     out = capsys.readouterr().out
-    assert "eigenvalues [" in out and "cached at" in out
+    assert "eigenvalues [" in out and "], sigma0 " in out and "cached at" in out
     assert len(list((tmp_path / "cache").glob("eig_*.bin"))) == 1
     # a second invocation reuses the cached file rather than recomputing
     assert cli.main(args) == 0
@@ -422,14 +422,47 @@ def test_eigenpair_cache_is_actually_read(tmp_path):
     from pdtomo.ct import projector
 
     a_map = projector(grid, geom)
-    first = cli.cached_eigenpairs(cfg, grid, geom, a_map)
+    first, first_sigma = cli.cached_eigenpairs(cfg, grid, geom, a_map)
     path = cli._eig_cache_path(cfg, grid, geom)
     assert path.is_file()
     doctored = EigenSet(np.eye(a_map.domain_dim)[:1], np.array([3.0]))
-    save_eigenset(path, doctored)
-    second = cli.cached_eigenpairs(cfg, grid, geom, a_map)
-    assert np.array_equal(second.values, doctored.values)
-    assert not np.array_equal(first.values, doctored.values)
+    save_eigenset(path, doctored, 0.25, cli._eig_cache_key(cfg, grid, geom))
+    second, second_sigma = cli.cached_eigenpairs(cfg, grid, geom, a_map)
+    assert np.array_equal(second.values, doctored.values) and second_sigma == 0.25
+    assert not np.array_equal(first.values, doctored.values) and first_sigma != 0.25
+
+
+def test_eigcache_file_under_another_key_is_a_miss(tmp_path):
+    cfg = tiny_cfg(tmp_path / "out", k_eigs=1, cache_dir=str(tmp_path / "cache"))
+    grid, geom = cli.build_grid(cfg), cli.build_geom(cfg)
+    from pdtomo.ct import projector
+
+    a_map = projector(grid, geom)
+    first, first_sigma = cli.cached_eigenpairs(cfg, grid, geom, a_map)
+    path = cli._eig_cache_path(cfg, grid, geom)
+    good = path.read_bytes()
+    # a plan computed for another A, left under this file name
+    doctored = EigenSet(np.eye(a_map.domain_dim)[:1], np.array([3.0]))
+    other_key = cli._eig_cache_key(replace(cfg, seed=4), grid, geom)
+    save_eigenset(path, doctored, 0.25, other_key)
+    again, again_sigma = cli.cached_eigenpairs(cfg, grid, geom, a_map)
+    assert np.array_equal(again.values, first.values) and again_sigma == first_sigma
+    # recomputed and overwritten with the requested key
+    assert path.read_bytes() == good
+
+
+def test_main_truncated_eigcache_file_exits_numerical(tmp_path, capsys):
+    args = ["run", "-o", str(tmp_path / "out")]
+    for pair in SMALL_RUN + ("plan=lowrank", "k_eigs=2", f"cache_dir={tmp_path / 'cache'}"):
+        args += ["--set", pair]
+    assert cli.main(args) == 0
+    (path,) = (tmp_path / "cache").glob("eig_*.bin")
+    path.write_bytes(path.read_bytes()[:-8])
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: [plan] {path}: ") and "bytes" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_eig_cache_key_names_the_engine(tmp_path, monkeypatch):
@@ -440,11 +473,15 @@ def test_eig_cache_key_names_the_engine(tmp_path, monkeypatch):
     # pairs from another engine land under another name and are never read
     monkeypatch.setattr(cli, "EIG_ENGINE", "power")
     assert cli._eig_cache_path(cfg, grid, geom) != path
+    # and files of another format, EIG1 included, are never opened
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "EIG_FORMAT", "EIG1")
+    assert cli._eig_cache_path(cfg, grid, geom) != path
 
 
-def lowrank_artifacts(tmp_path, name, cache):
+def lowrank_artifacts(tmp_path, name, cache, **kw):
     cfg = tiny_cfg(
-        tmp_path / name, plan="lowrank", k_eigs=5, cache_dir=str(tmp_path / cache)
+        tmp_path / name, plan="lowrank", k_eigs=5, cache_dir=str(tmp_path / cache), **kw
     )
     cli.run_experiment(cfg)
     return [
@@ -465,9 +502,42 @@ def test_lowrank_cache_hit_repeats_the_miss_bitwise(tmp_path, monkeypatch):
     def no_recompute(*args, **kwargs):
         raise AssertionError("eigenpairs recomputed despite a cached file")
 
+    def no_sigma(*args, **kwargs):
+        raise AssertionError("sigma0 recomputed despite a cached file")
+
     monkeypatch.setattr(cli, "leading_eigenpairs", no_recompute)
+    monkeypatch.setattr(spectral, "sigma_for_T", no_sigma)
     hit = lowrank_artifacts(tmp_path, "hit", "cache")
     assert hit == miss
+
+
+def test_smoothed_lowrank_cache_hit_repeats_the_miss_bitwise(tmp_path):
+    cold = lowrank_artifacts(tmp_path, "cold", "cache", blur_width=1.5)
+    warm = lowrank_artifacts(tmp_path, "warm", "cache", blur_width=1.5)
+    assert warm == cold
+    assert cold != lowrank_artifacts(tmp_path, "sharp", "cache")
+
+
+def test_rho_sweep_computes_the_lowrank_plan_once(tmp_path, monkeypatch):
+    calls = {"eig": 0, "sigma": 0}
+    eig, sigma = cli.leading_eigenpairs, spectral.sigma_for_T
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "leading_eigenpairs", counted("eig", eig))
+    monkeypatch.setattr(spectral, "sigma_for_T", counted("sigma", sigma))
+    cfg = tiny_cfg(
+        tmp_path / "sw", plan="lowrank", k_eigs=3, k_max=20, cache_dir=str(tmp_path / "cache")
+    )
+    rows = read_csv(cli.sweep(cfg, "rho", ["0.1", "0.3", "1.0"]))
+    assert calls == {"eig": 1, "sigma": 1}
+    assert [r[0] for r in rows[1:]] == ["0.1", "0.3", "1.0"]
+    assert all(cell for r in rows[1:] for cell in r)
 
 
 def test_main_lanczos_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
@@ -504,8 +574,20 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         ("run", ("problem=tvlsq", "beta=-0.1"), [], "beta must be nonnegative"),
         ("run", ("nx=4", "plan=lowrank", "k_eigs=50"), [], "k_eigs must be in [1, nx*nx = 16]"),
         ("run", ("plan=lowrank", "k_eigs=2", "blur_width=-1.0"), [], "blur_width"),
+        ("sweep", (), ["--param", "K", "--values", "1,5"], "K sweep needs solver = cppd and"),
+        ("sweep", ("plan=diagonal",), ["--param", "K", "--values", "1,5"], "plan = lowrank"),
+        ("sweep", ("solver=cgls",), ["--param", "rho", "--values", "0.5,1"], "needs solver = cppd"),
     ],
-    ids=["sweep-rho-abc", "sweep-K-2.5", "beta-negative", "k_eigs-above-nx2", "blur-negative"],
+    ids=[
+        "sweep-rho-abc",
+        "sweep-K-2.5",
+        "beta-negative",
+        "k_eigs-above-nx2",
+        "blur-negative",
+        "sweep-K-scalar-plan",
+        "sweep-K-diagonal-plan",
+        "sweep-rho-cgls",
+    ],
 )
 def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings, extra, message):
     args = [command, "-o", str(tmp_path / "out"), *extra]

@@ -1,5 +1,9 @@
 """Round-trip and validation tests for the on-disk formats."""
 
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -80,20 +84,78 @@ def test_sinogram_rejects_foreign_file(tmp_path):
         load_sinogram(path, build_geometry("desk-sparse"))
 
 
+KEY = hashlib.sha256(b"an eigcache key").digest()
+# sigma0 sits after the tag, (n, K) and the key digest
+SIGMA0_AT = 4 + 8 + len(KEY)
+
+
+def saved_pairs(tmp_path, sigma0=0.1 + 0.2):
+    path = tmp_path / "pairs.eig"
+    save_eigenset(path, EigenSet(np.eye(6)[:3], [9.0, 4.0, 1.0]), sigma0, KEY)
+    return path
+
+
 def test_eigenset_round_trip(tmp_path):
     vectors = np.eye(6)[:3]
     values = np.array([9.0, 4.0, 1.0])
+    # a sigma0 with a full mantissa comes back bit for bit
+    sigma0 = 0.1 + 0.2
     path = tmp_path / "pairs.eig"
-    save_eigenset(path, EigenSet(vectors, values))
-    back = load_eigenset(path)
+    save_eigenset(path, EigenSet(vectors, values), sigma0, KEY)
+    back, back_sigma, back_key = load_eigenset(path)
     assert np.array_equal(back.vectors, vectors)
     assert np.array_equal(back.values, values)
     assert back.k == 3 and back.n == 6
+    assert struct.pack("<d", back_sigma) == struct.pack("<d", sigma0)
+    assert back_key == KEY
+    assert path.read_bytes()[:4] == b"EIG2"
+
+
+@pytest.mark.parametrize("cut", [1, 8, 60, 100])
+def test_eigenset_rejects_wrong_length(tmp_path, cut):
+    path = saved_pairs(tmp_path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-cut])
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .* bytes"):
+        load_eigenset(path)
+    path.write_bytes(blob + b"\0" * cut)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .* bytes"):
+        load_eigenset(path)
+
+
+@pytest.mark.parametrize("sigma0", [0.0, -0.5, np.inf, np.nan])
+def test_eigenset_rejects_a_stored_sigma0_that_is_not_positive(tmp_path, sigma0):
+    path = saved_pairs(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[SIGMA0_AT : SIGMA0_AT + 8] = struct.pack("<d", sigma0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: sigma0"):
+        load_eigenset(path)
+    # and no such file is written in the first place
+    with pytest.raises(ValueError, match="sigma0 must be finite and positive"):
+        save_eigenset(tmp_path / "other.eig", EigenSet(np.eye(6)[:1], [1.0]), sigma0, KEY)
+    assert not (tmp_path / "other.eig").exists()
+
+
+def test_eigenset_save_needs_a_full_key_digest(tmp_path):
+    with pytest.raises(ValueError, match="32 bytes"):
+        save_eigenset(tmp_path / "pairs.eig", EigenSet(np.eye(6)[:1], [1.0]), 1.0, KEY[:16])
+
+
+def test_eigenset_rejects_the_eig1_format(tmp_path):
+    # the former layout: no key digest and no sigma0
+    path = tmp_path / "old.eig"
+    path.write_bytes(
+        b"EIG1" + struct.pack("<II", 6, 1) + struct.pack("<d", 1.0) + np.eye(6)[0].tobytes()
+    )
+    want = f"{re.escape(str(path))}: not an eigenset file in the EIG2 format"
+    with pytest.raises(ValueError, match=want):
+        load_eigenset(path)
 
 
 def test_eigenset_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "pairs.eig"
-    save_eigenset(path, EigenSet(np.eye(6)[:2], [4.0, 1.0]))
+    save_eigenset(path, EigenSet(np.eye(6)[:2], [4.0, 1.0]), 1.0, KEY)
     before = path.read_bytes()
 
     class FailingVectors:
@@ -107,7 +169,7 @@ def test_eigenset_failed_write_keeps_previous_file(tmp_path, monkeypatch):
     doomed = EigenSet(np.eye(6)[:3], [9.0, 4.0, 1.0])
     monkeypatch.setattr(doomed, "vectors", FailingVectors())
     with pytest.raises(OSError, match="disk full"):
-        save_eigenset(path, doomed)
+        save_eigenset(path, doomed, 1.0, KEY)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pairs.eig"]
 
@@ -115,7 +177,7 @@ def test_eigenset_failed_write_keeps_previous_file(tmp_path, monkeypatch):
 def test_eigenset_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.eig"
     path.write_bytes(b"XXXXGARBAGE")
-    with pytest.raises(ValueError, match="not an eigenset"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not an eigenset"):
         load_eigenset(path)
 
 
