@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -293,19 +293,28 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
     rows = []
     pool_cm = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()
     with pool_cm as pool:
-        # with a pool every run is submitted up front and each job is a
-        # future; serially a job is the config, run when its turn comes
-        jobs = [pool.submit(_sweep_one, sub) if pool else sub for _, sub in runs]
+        # with a pool each job is a future; serially a job is the config,
+        # run when its turn comes
+        jobs = [sub for _, sub in runs]
+        if pool:
+            first = pool.submit(_sweep_one, jobs[0])
+            # the values of a rho sweep share one low-rank plan: the first
+            # computes and caches it before the others start and read it
+            if cfg.plan == "lowrank" and parameter == "rho":
+                wait([first])
+            jobs = [first] + [pool.submit(_sweep_one, sub) for sub in jobs[1:]]
         for (value, _), job in zip(runs, jobs):
             try:
                 res = job.result() if pool else run_experiment(job)
+                status = "ok"
             except Exception as exc:
                 print(f"sweep {parameter}={value} failed: {exc}", file=sys.stderr)
                 res = dict.fromkeys(columns, np.nan)
-            rows.append([value] + [res[key] for key in columns])
+                status = type(exc).__name__
+            rows.append([value] + [res[key] for key in columns] + [status])
 
     summary = parent / "summary.csv"
-    write_csv(summary, ("value",) + columns, rows)
+    write_csv(summary, ("value",) + columns + ("status",), rows)
     return summary
 
 

@@ -169,8 +169,13 @@ def fov_active(grid: ImageGrid) -> np.ndarray:
     return (xx**2 + yy**2 < r**2).ravel()
 
 
-def _siddon_coo(grid: ImageGrid, geom: FanBeamGeometry):
-    """COO triplets (ray, pixel, length) of the unmasked ray transform."""
+def _siddon_views(grid: ImageGrid, geom: FanBeamGeometry):
+    """Unmasked Siddon entries of the ray transform, one view at a time.
+
+    Yields (bins, cols, vals) per view, in view order: the detector bin,
+    int32 pixel index and intersection length of each entry, ray by ray
+    and, within a ray, in traversal order.
+    """
     nx, ny = grid.nx, grid.ny
     h = grid.pixel_size
     x0 = -grid.side_length / 2
@@ -178,7 +183,6 @@ def _siddon_coo(grid: ImageGrid, geom: FanBeamGeometry):
     planes = x0 + h * np.arange(nx + 1)
 
     half_grid = grid.side_length / 2
-    rows, cols, vals = [], [], []
     t_hat_of = lambda phi: np.array([-np.sin(phi), np.cos(phi)])
 
     for v, phi in enumerate(geom.view_angles()):
@@ -237,35 +241,43 @@ def _siddon_coo(grid: ImageGrid, geom: FanBeamGeometry):
         iy = np.floor((my - x0) / h).astype(np.int64)
         ok = (dt > _T_EPS) & (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
 
-        ray_len = np.hypot(dx, dy)
-        lengths = dt * ray_len[:, None]
-        ray_idx = v * geom.n_bins + np.arange(geom.n_bins)
-        ray_idx = np.broadcast_to(ray_idx[:, None], dt.shape)
-
-        rows.append(ray_idx[ok])
-        cols.append((iy * nx + ix)[ok])
-        vals.append(lengths[ok])
-
-    return (
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-    )
+        lengths = dt * np.hypot(dx, dy)[:, None]
+        bins = np.broadcast_to(np.arange(geom.n_bins)[:, None], dt.shape)
+        yield bins[ok], (iy * nx + ix)[ok].astype(np.int32), lengths[ok]
 
 
 @lru_cache(maxsize=8)
 def _system_matrices(grid: ImageGrid, geom: FanBeamGeometry):
-    """Cached CSR pair (X, X^T) of the FOV-restricted system matrix."""
-    rows, cols, vals = _siddon_coo(grid, geom)
-    # one filtered copy at a time keeps the build's transient small
-    keep = fov_active(grid)[cols]
-    rows = rows[keep]
-    cols = cols[keep]
-    vals = vals[keep]
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(geom.n_rays, grid.n), dtype=np.float64
-    )
-    del rows, cols, vals, keep
+    """Cached CSR pair (X, X^T) of the FOV-restricted system matrix.
+
+    Each view's entries in FOV columns are appended straight to X's CSR
+    arrays, so the build peaks at about the stored pair plus one view's
+    temporaries.
+    """
+    active = fov_active(grid)
+    nb = geom.n_bins
+    # a ray crosses 2 nx + 2 lattice planes, so it has at most 2 nx + 1
+    # segments; the pages past the last entry are never touched
+    bound = geom.n_rays * (2 * grid.nx + 1)
+    indices = np.empty(bound, dtype=np.int32)
+    data = np.empty(bound)
+    indptr = np.zeros(geom.n_rays + 1, dtype=np.int64)
+    nnz = 0
+    for v, (bins, cols, vals) in enumerate(_siddon_views(grid, geom)):
+        keep = active[cols]
+        end = nnz + np.count_nonzero(keep)
+        indices[nnz:end] = cols[keep]
+        data[nnz:end] = vals[keep]
+        indptr[1 + v * nb : 1 + (v + 1) * nb] = np.bincount(bins[keep], minlength=nb)
+        nnz = end
+    np.cumsum(indptr, out=indptr)
+    # no view of either array is left, so they can shrink in place
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
+    mat = sp.csr_matrix((data, indices, indptr), shape=(geom.n_rays, grid.n))
+    # sorts each ray's entries into pixel order in place (and would sum a
+    # pixel met twice), as scipy's COO conversion does
+    mat.sum_duplicates()
     return mat, mat.T.tocsr()
 
 

@@ -47,11 +47,11 @@ def geometry_digest(geom: FanBeamGeometry, grid: ImageGrid | None = None) -> byt
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV table: ints via str, floats via repr, NaN as an
-    empty cell (infinities stay `inf`)."""
+    """Write a CSV table: strings and ints via str, floats via repr, NaN
+    as an empty cell (infinities stay `inf`)."""
 
     def cell(v) -> str:
-        if isinstance(v, (int, np.integer)):
+        if isinstance(v, (str, int, np.integer)):
             return str(v)
         v = float(v)
         return "" if np.isnan(v) else repr(v)

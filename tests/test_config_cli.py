@@ -1,6 +1,7 @@
 """Config parsing, validation, and the batch CLI pipeline."""
 
 import csv
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -224,10 +225,13 @@ def test_sweep_summary_and_failed_value(tmp_path, capsys):
     cfg = tiny_cfg(tmp_path / "sw")
     summary = cli.sweep(cfg, "rho", ["0.5", "2.0", "-1.0"])
     rows = read_csv(summary)
-    assert rows[0] == ["value", "final_image_rmse", "final_r_sigma", "final_r_tau"]
+    assert rows[0] == [
+        "value", "final_image_rmse", "final_r_sigma", "final_r_tau", "status"
+    ]
     assert [r[0] for r in rows[1:]] == ["0.5", "2.0", "-1.0"]
+    assert [r[-1] for r in rows[1:]] == ["ok", "ok", "ConfigError"]
     # the invalid value is reported, not fatal, and leaves no artifacts
-    assert rows[3][1:] == ["", "", ""]
+    assert rows[3][1:] == ["", "", "", "ConfigError"]
     assert "sweep rho=-1.0 failed" in capsys.readouterr().err
     assert not (tmp_path / "sw" / "rho_-1.0").exists()
     # summary cells repeat the last recorded image rmse of each sub-run
@@ -246,7 +250,37 @@ def test_sweep_pool_matches_serial_bytewise(tmp_path, capsys):
             for v in ("0.5", "2.0")
         ]
     assert outputs[2] == outputs[1]
-    assert read_csv(tmp_path / "w2" / "summary.csv")[3] == ["-1.0", "", "", ""]
+    assert read_csv(tmp_path / "w2" / "summary.csv")[3] == ["-1.0", "", "", "", "ConfigError"]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the counting wrapper reaches pool workers only through fork",
+)
+def test_parallel_lowrank_sweep_computes_plan_once(tmp_path, monkeypatch):
+    # every process that computes the eigenpairs appends a line to the log
+    log = tmp_path / "eig.log"
+    compute = cli.leading_eigenpairs
+
+    def counted(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "leading_eigenpairs", counted)
+    outputs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = tiny_cfg(out, plan="lowrank", k_eigs=3, k_max=20,
+                       cache_dir=str(out / "cache"), workers=workers)
+        log.write_text("")
+        summary = cli.sweep(cfg, "rho", ["0.5", "2.0", "1.0"])
+        assert len(log.read_text().split()) == 1
+        outputs[workers] = [summary.read_bytes()] + [
+            (out / f"rho_{v}" / "convergence.csv").read_bytes()
+            for v in ("0.5", "2.0", "1.0")
+        ]
+    assert outputs[2] == outputs[1]
 
 
 def test_sweep_over_rank_uses_lowrank_plans(tmp_path):

@@ -1,5 +1,7 @@
 """Fan-beam projector over the FOV pixels, gradient, and smoothing operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,7 @@ from pdtomo.ct import (
     FanBeamGeometry,
     ImageGrid,
     Sinogram,
-    _siddon_coo,
+    _siddon_views,
     _system_matrices,
     build_geometry,
     detector_length_for_fov,
@@ -106,9 +108,19 @@ def test_fov_corner_masked_and_center_active():
     assert np.array_equal(active3, brute)
 
 
+def siddon_coo(grid, geom):
+    """COO triplets (ray, pixel, length) of the unmasked ray transform,
+    concatenated from the per-view traversal."""
+    views = list(_siddon_views(grid, geom))
+    rows = np.concatenate([v * geom.n_bins + bins for v, (bins, _, _) in enumerate(views)])
+    cols = np.concatenate([cols for _, cols, _ in views])
+    vals = np.concatenate([vals for _, _, vals in views])
+    return rows, cols, vals
+
+
 def siddon_dense(grid, geom):
     """Dense unmasked ray transform summed from the Siddon triplets."""
-    rows, cols, vals = _siddon_coo(grid, geom)
+    rows, cols, vals = siddon_coo(grid, geom)
     dense = np.zeros((geom.n_rays, grid.n))
     np.add.at(dense, (rows, cols), vals)
     return dense
@@ -198,7 +210,7 @@ def test_source_inside_grid_rejected():
     grid = ImageGrid(4, 4, 100.0)
     geom = build_geometry("desk-sparse", n_views=1, n_bins=2)
     with pytest.raises(ValueError, match="source"):
-        _siddon_coo(grid, geom)
+        next(_siddon_views(grid, geom))
     with pytest.raises(ValueError, match="source"):
         projector(grid, geom)
 
@@ -219,7 +231,7 @@ def test_system_matrix_holds_only_fov_columns(nx, preset):
     # forward and adjoint equal the full-grid traversal matrix X_grid
     # with the 0/1 FOV mask M applied, X_grid (M x) and M (X_grid^T y),
     # bit for bit
-    rows, cols, vals = _siddon_coo(grid, geom)
+    rows, cols, vals = siddon_coo(grid, geom)
     x_grid = sp.csr_matrix((vals, (rows, cols)), shape=(geom.n_rays, grid.n))
     mask = active.astype(float)
     x_map = projector(grid, geom)
@@ -229,6 +241,63 @@ def test_system_matrix_holds_only_fov_columns(nx, preset):
         y = rng.standard_normal(geom.n_rays)
         assert np.array_equal(x_map(x), x_grid @ (mask * x))
         assert np.array_equal(x_map.adjoint(y), mask * (x_grid.T @ y))
+
+
+STREAMED_BUILDS = [(nx, preset, {}) for nx in (4, 16, 64)
+                   for preset in ("desk-sparse", "desk-oversampled", "desk-limited")]
+# the segment oracle's generic start angle
+STREAMED_BUILDS += [(nx, "desk-sparse", dict(n_views=3, n_bins=4, start_angle=0.123))
+                    for nx in (4, 16)]
+
+
+@pytest.mark.parametrize("nx, preset, fields", STREAMED_BUILDS)
+def test_streamed_build_equals_scipy_conversion(nx, preset, fields):
+    # the reference is scipy's COO -> CSR conversion of the concatenated
+    # unmasked traversal with the non-FOV columns dropped
+    grid = ImageGrid(nx, nx, 18.0)
+    geom = build_geometry(preset, **fields)
+    rows, cols, vals = siddon_coo(grid, geom)
+    keep = fov_active(grid)[cols]
+    ref = sp.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(geom.n_rays, grid.n)
+    )
+    mat, mat_t = _system_matrices(grid, geom)
+    for got, want in ((mat, ref), (mat_t, ref.T.tocsr())):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("nx, preset, fields", STREAMED_BUILDS)
+def test_streamed_build_is_canonical_int32(nx, preset, fields):
+    grid = ImageGrid(nx, nx, 18.0)
+    geom = build_geometry(preset, **fields)
+    # no ray meets a pixel in two segments
+    rows, cols, _ = siddon_coo(grid, geom)
+    pairs = rows * grid.n + cols
+    assert np.unique(pairs).size == pairs.size
+    mat, _ = _system_matrices(grid, geom)
+    assert mat.indices.dtype == np.int32
+    # strictly increasing columns within every row, checked from the
+    # arrays rather than from scipy's format flag
+    row_of = np.repeat(np.arange(geom.n_rays), np.diff(mat.indptr))
+    same_row = row_of[1:] == row_of[:-1]
+    assert np.all(np.diff(mat.indices)[same_row] > 0)
+    assert mat.indptr[0] == 0 and mat.indptr[-1] == mat.nnz == mat.indices.size
+
+
+def test_streamed_build_peak_memory_near_stored_pair():
+    grid = ImageGrid(64, 64, 18.0)
+    geom = build_geometry("desk-oversampled")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mat, mat_t = _system_matrices.__wrapped__(grid, geom)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    stored = sum(a.nbytes for m in (mat, mat_t) for a in (m.data, m.indices, m.indptr))
+    assert peak <= 1.3 * stored
 
 
 def test_gradient_constant_in_null_space():
