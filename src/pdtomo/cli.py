@@ -278,6 +278,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
             raise ConfigError(
                 f"cannot parse sweep value {raw!r} as {cast.__name__} for {parameter}"
             ) from None
+    # a repeated value would run one experiment twice into one directory
+    for i, value in enumerate(parsed):
+        if value in parsed[:i]:
+            raise ConfigError(f"sweep value {values[i]!r} repeats {parameter} = {value}")
     # rho only reaches a cppd step plan and K only its low-rank plan;
     # elsewhere every value would run the same experiment
     if cfg.solver != "cppd" or (parameter == "K" and cfg.plan != "lowrank"):

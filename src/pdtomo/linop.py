@@ -16,10 +16,6 @@ from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
 
-# Refuse to materialize anything larger than this many entries unless
-# the caller raises the cap explicitly.
-DENSE_CAP = 10**7
-
 
 class LinearMap:
     """A linear operator defined by forward/adjoint callables.
@@ -138,17 +134,6 @@ def stack(blocks: Sequence[tuple[float, LinearMap]], label: str = "stack") -> St
     return StackedMap(blocks, label=label)
 
 
-def identity(n: int) -> LinearMap:
-    return LinearMap(n, n, lambda x: x.copy(), lambda y: y.copy(), label="identity")
-
-
-def from_dense(mat: NDArray, label: str = "dense") -> LinearMap:
-    """Wrap a dense matrix as a matched matvec/rmatvec pair."""
-    mat = np.asarray(mat, dtype=float)
-    m, n = mat.shape
-    return LinearMap(n, m, lambda x: mat @ x, lambda y: mat.T @ y, label=label)
-
-
 def scaled(w: float, map_: LinearMap) -> LinearMap:
     """Scalar multiple w * A."""
     w = float(w)
@@ -159,45 +144,3 @@ def scaled(w: float, map_: LinearMap) -> LinearMap:
         lambda y: w * map_.adjoint(y),
         label=f"{w}*{map_.label}",
     )
-
-
-def materialize_dense(map_: LinearMap, cap: int = DENSE_CAP) -> NDArray:
-    """Build the dense matrix column by column (test/diagnostic use only).
-
-    Refuses when m*n exceeds `cap` entries.
-    """
-    m, n = map_.range_dim, map_.domain_dim
-    if m * n > cap:
-        raise ValueError(
-            f"refusing to materialize {map_.label}: {m}x{n} exceeds cap of {cap} entries"
-        )
-    out = np.empty((m, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        out[:, j] = map_(e)
-        e[j] = 0.0
-    return out
-
-
-def adjoint_dot_test(map_: LinearMap, trials: int = 100, seed: int = 0) -> float:
-    """Max relative dot-product mismatch |<Ax,y> - <x,A'y>| over random trials.
-
-    The mismatch is normalized by ||Ax|| ||y|| + ||x|| ||A'y||, so a
-    matched pair should score near machine epsilon.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(map_.domain_dim)
-        y = rng.standard_normal(map_.range_dim)
-        ax = map_(x)
-        aty = map_.adjoint(y)
-        num = abs(ax @ y - x @ aty)
-        den = np.linalg.norm(ax) * np.linalg.norm(y) + np.linalg.norm(x) * np.linalg.norm(aty)
-        if den == 0.0:
-            continue
-        worst = max(worst, num / den)
-    return worst

@@ -2,7 +2,8 @@
 
 Covers the dual-update proxes used by the primal-dual solvers (quadratic
 data-fit conjugate, l-inf clip, soft threshold, exact l1-ball projection
-by Michelot's finite active-set iteration) plus a numeric 1D
+by Michelot's finite active-set iteration, optionally warm-started
+from a nearby threshold) plus a numeric 1D
 Legendre-Fenchel transform used as a test oracle.  All mappings are pure
 functions.
 """
@@ -103,7 +104,7 @@ def _l1_norm_checked(a: np.ndarray) -> float:
     return total
 
 
-def _l1_threshold(a: np.ndarray, total: float, r: float) -> float:
+def _l1_threshold(a: np.ndarray, total: float, r: float, hint: float = 0.0) -> float:
     """Threshold beta >= 0 with sum(max(a - beta, 0)) = r, for a >= 0
     with sum(a) = total > r > 0.
 
@@ -116,15 +117,37 @@ def _l1_threshold(a: np.ndarray, total: float, r: float) -> float:
     the set never empties (with r below the rounding of the active sum
     every entry can look dropped; the largest is always active, so the
     current beta is kept).
+
+    A positive `hint` (a nearby threshold, such as the previous step's)
+    starts the iteration one Newton step from it on the excess
+    f(b) = sum(max(a - b, 0)) - r.  f is convex and decreasing, so the
+    step b1 lands at or left of the root from either side, and the
+    entries above b1 contain the final active set.  That start is kept
+    only if its mean excess is at least b1, which holds exactly when
+    b1 is at or left of the root; otherwise (and for a zero, huge or
+    non-finite hint) the iteration starts from all of a.  Both starts
+    end on the same active set in the same order, so they return the
+    same beta, bit for bit, unless an entry lies within rounding of
+    the threshold and lands on the other side of it.
     """
     act = a
     beta = (total - r) / a.size
-    while True:
-        keep = act[act > beta]
-        if keep.size in (0, act.size):
-            return float(beta)
+    if 0.0 < hint < np.inf:
+        t = a - hint
+        count = np.count_nonzero(t > 0.0)
+        if count:
+            b1 = hint + (np.maximum(t, 0.0, out=t).sum() - r) / count
+            start = np.compress(a > b1, a)
+            if start.size and (b := (start.sum() - r) / start.size) >= b1:
+                act, beta = start, b
+    # act.min() > beta: every entry stays, the set is final
+    while not act.min() > beta:
+        keep = np.compress(act > beta, act)
+        if not keep.size:
+            break
         act = keep
         beta = max(beta, (act.sum() - r) / act.size)
+    return float(beta)
 
 
 def project_l1_ball(v: Vector, r: float) -> ProxResult:
@@ -168,14 +191,16 @@ def project_l1_ball_sorted(v: Vector, r: float) -> ProxResult:
 
 
 def prox_tvc_conjugate(
-    lam_g: Vector, sigma: float, radius_times_sigma: float
+    lam_g: Vector, sigma: float, radius_times_sigma: float, hint: float = 0.0
 ) -> ProxResult:
     """Prox of the conjugate of the l1-ball indicator, via Moreau.
 
     prox = lam_g - projection of lam_g onto the l1 ball of radius
     nu*gamma*sigma, which is the clip of lam_g to [-beta, beta] with the
     projection's threshold beta.  When lam_g is already inside the ball
-    the output is exactly zero (and the reported beta is zero).
+    the output is exactly zero (and the reported beta is zero).  `hint`
+    is a nearby threshold to start the search from (see `_l1_threshold`);
+    the result is exact for any hint.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
@@ -186,7 +211,7 @@ def prox_tvc_conjugate(
     total = _l1_norm_checked(a)
     if total <= radius_times_sigma:
         return ProxResult(np.zeros_like(lam_g), aux=0.0)
-    beta = _l1_threshold(a, total, radius_times_sigma)
+    beta = _l1_threshold(a, total, radius_times_sigma, hint)
     return ProxResult(np.clip(lam_g, -beta, beta), aux=beta)
 
 

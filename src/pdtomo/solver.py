@@ -53,7 +53,8 @@ class DivergenceError(RuntimeError):
 @dataclass
 class SaddleState:
     """One primal-dual iterate: image x, dual lambda, extrapolated
-    image xbar, and the splitting variable y.
+    image xbar, and the splitting variable y (None where `run_cppd`
+    skipped forming it, on steps it does not record).
 
     `ax` = A x and `atl` = A^T lambda are carried from step to step
     (None: not yet computed); `beta` is the l1-ball dual prox threshold
@@ -64,7 +65,7 @@ class SaddleState:
     x: np.ndarray
     lam: np.ndarray
     xbar: np.ndarray
-    y: np.ndarray
+    y: np.ndarray | None
     iteration: int = 0
     ax: np.ndarray | None = None
     atl: np.ndarray | None = None
@@ -228,16 +229,18 @@ def _pd_metrics(problem: ProblemSpec, x, lam, y, ax, atl, reference) -> dict:
     }
 
 
-ProxFn = Callable[[np.ndarray, object], tuple[np.ndarray, float]]
+ProxFn = Callable[[np.ndarray, object, float], tuple[np.ndarray, float]]
 
 
 def make_prox(problem: ProblemSpec) -> ProxFn:
-    """Dual prox for the problem: maps (lambda + sigma*A xbar, sigma) to
-    the updated dual and the l1-ball threshold beta (zero when the
-    problem has no l1-ball prox)."""
+    """Dual prox for the problem: maps (lambda + sigma*A xbar, sigma,
+    hint) to the updated dual and the l1-ball threshold beta (zero when
+    the problem has no l1-ball prox).  The hint, a nearby threshold such
+    as the previous step's beta, only speeds up the l1-ball threshold
+    search; the other problems ignore it."""
     if problem.kind == "lsq":
 
-        def prox_lsq(v, sigma):
+        def prox_lsq(v, sigma, hint=0.0):
             return prox_lsq_conjugate(v, sigma, problem.g), 0.0
 
         return prox_lsq
@@ -247,7 +250,7 @@ def make_prox(problem: ProblemSpec) -> ProxFn:
     if problem.kind == "tvlsq":
         radius = problem.beta / problem.nu
 
-        def prox_tvlsq(v, sigma):
+        def prox_tvlsq(v, sigma, hint=0.0):
             sigma_s = sigma[:m_s] if np.ndim(sigma) else sigma
             out = np.empty_like(v)
             out[:m_s] = prox_lsq_conjugate(v[:m_s], sigma_s, problem.g)
@@ -259,12 +262,12 @@ def make_prox(problem: ProblemSpec) -> ProxFn:
 
         return prox_tvlsq
 
-    def prox_tvclsq(v, sigma):
+    def prox_tvclsq(v, sigma, hint=0.0):
         if np.ndim(sigma):
             raise ValueError("the l1-ball dual prox needs a scalar sigma")
         out = np.empty_like(v)
         out[:m_s] = prox_lsq_conjugate(v[:m_s], sigma, problem.g)
-        res = prox_tvc_conjugate(v[m_s:], sigma, problem.nu * problem.gamma * sigma)
+        res = prox_tvc_conjugate(v[m_s:], sigma, problem.nu * problem.gamma * sigma, hint)
         out[m_s:] = res.value
         return out, res.aux
 
@@ -278,15 +281,17 @@ def _advance(
 
     Missing products are computed first.  The new state carries
     A x+ = (A xbar + A x) / 2 and A^T lambda+, so a step with carried
-    products costs one forward and one adjoint apply.
+    products costs one forward and one adjoint apply.  The dual prox
+    starts its threshold search from the state's beta.  y+ is formed
+    from inv_sigma = 1/sigma, and left None when inv_sigma is None.
     """
     atl = a_map.adjoint(state.lam) if state.atl is None else state.atl
     ax = a_map(state.x) if state.ax is None else state.ax
     x_new = state.x - plan.apply_tau(atl)
     xbar = 2.0 * x_new - state.x
     axbar = a_map(xbar)
-    lam_new, beta = prox(state.lam + plan.sigma * axbar, plan.sigma)
-    y_new = (state.lam - lam_new) * inv_sigma + axbar
+    lam_new, beta = prox(state.lam + plan.sigma * axbar, plan.sigma, state.beta)
+    y_new = None if inv_sigma is None else (state.lam - lam_new) * inv_sigma + axbar
     return SaddleState(
         x_new,
         lam_new,
@@ -377,7 +382,8 @@ def run_cppd(
     With validate_prox=True a tvclsq dual update is cross-checked at
     each recorded iteration against the exact sort-based l1-ball
     projection and the residual recorded; a residual above its bound
-    raises RuntimeError.
+    raises RuntimeError.  Only the recorded states carry y; the
+    returned final state always does.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -402,9 +408,10 @@ def run_cppd(
     emit(state)
     for k in range(1, k_max + 1):
         prev = state
-        state = _advance(prev, plan, prox, a_map, inv_sigma)
+        recorded = k % record_stride == 0 or k == k_max
+        state = _advance(prev, plan, prox, a_map, inv_sigma if recorded else None)
         guard.check(state.x, k)
-        if k % record_stride == 0 or k == k_max:
+        if recorded:
             checked = _prox_check(problem, prev, state, plan, a_map) if check_prox else {}
             emit(state, **checked)
     return state, record

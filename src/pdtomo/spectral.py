@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import LinearMap, Vector, materialize_dense, scaled
+from .linop import LinearMap, Vector, scaled
 
 # Lanczos stops once every wanted Ritz residual is at most
 # _RESIDUAL_TOL times the top Ritz value, checked every _CHECK_EVERY
@@ -290,33 +290,3 @@ def lowrank_steps(map_: LinearMap, eigs: EigenSet, seed: int = 0) -> StepPlan:
     """The low-rank plan T = build_lowrank_T(eigs) with sigma = 1/rho(T A^T A)."""
     t_map = build_lowrank_T(eigs)
     return StepPlan(sigma_for_T(map_, t_map, seed=seed), t_map)
-
-
-def convergence_matrix(a_dense: np.ndarray, sigma, tau) -> np.ndarray:
-    """Dense step-condition matrix [[T^-1, -A^T], [-A, Sigma^-1]].
-
-    Positive semidefiniteness of this matrix is the convergence
-    condition for the primal-dual iteration.  Diagnostic use on small
-    instances; sigma and tau may be scalars, vectors, dense matrices,
-    or a LinearMap (materialized).
-    """
-    a_dense = np.asarray(a_dense, dtype=float)
-    m, n = a_dense.shape
-
-    def as_inverse(step, dim):
-        if isinstance(step, LinearMap):
-            step = materialize_dense(step)
-        step = np.asarray(step, dtype=float)
-        if step.ndim == 0:
-            if step <= 0:
-                raise ValueError("steps must be positive")
-            return np.eye(dim) / float(step)
-        if step.ndim == 1:
-            if np.any(step <= 0):
-                raise ValueError("steps must be positive")
-            return np.diag(1.0 / step)
-        return np.linalg.inv(step)
-
-    top = np.hstack([as_inverse(tau, n), -a_dense.T])
-    bot = np.hstack([-a_dense, as_inverse(sigma, m)])
-    return np.vstack([top, bot])

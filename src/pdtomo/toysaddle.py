@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EIG_ZERO_TOL = 1e-12
-
 
 @dataclass
 class Trajectory2D:
@@ -190,24 +188,3 @@ def perfect_preconditioning(
         us[k + 1] = us[k] - lams[k] / rho
         lams[k + 1] = rho * us[k + 1]
     return Trajectory2D(us, lams)
-
-
-def classify_critical_point(h: np.ndarray) -> str:
-    """Classify a critical point from its symmetric Hessian.
-
-    Returns one of "minimum", "maximum", "saddle", "degenerate"
-    (eigenvalue within 1e-12 of zero).
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("Hessian must be square")
-    if not np.allclose(h, h.T, rtol=0, atol=1e-12 * max(1.0, np.abs(h).max())):
-        raise ValueError("Hessian must be symmetric")
-    ev = np.linalg.eigvalsh(h)
-    if np.any(np.abs(ev) <= EIG_ZERO_TOL):
-        return "degenerate"
-    if np.all(ev > 0):
-        return "minimum"
-    if np.all(ev < 0):
-        return "maximum"
-    return "saddle"

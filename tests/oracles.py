@@ -8,6 +8,118 @@ from __future__ import annotations
 
 import numpy as np
 
+from pdtomo.linop import LinearMap
+
+# Refuse to materialize anything larger than this many entries unless
+# the caller raises the cap explicitly.
+DENSE_CAP = 10**7
+
+# Hessian eigenvalues within this of zero make a critical point degenerate.
+EIG_ZERO_TOL = 1e-12
+
+
+def identity(n: int) -> LinearMap:
+    return LinearMap(n, n, lambda x: x.copy(), lambda y: y.copy(), label="identity")
+
+
+def from_dense(mat: np.ndarray, label: str = "dense") -> LinearMap:
+    """Wrap a dense matrix as a matched matvec/rmatvec pair."""
+    mat = np.asarray(mat, dtype=float)
+    m, n = mat.shape
+    return LinearMap(n, m, lambda x: mat @ x, lambda y: mat.T @ y, label=label)
+
+
+def materialize_dense(map_: LinearMap, cap: int = DENSE_CAP) -> np.ndarray:
+    """Build the dense matrix column by column.
+
+    Refuses when m*n exceeds `cap` entries.
+    """
+    m, n = map_.range_dim, map_.domain_dim
+    if m * n > cap:
+        raise ValueError(
+            f"refusing to materialize {map_.label}: {m}x{n} exceeds cap of {cap} entries"
+        )
+    out = np.empty((m, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        out[:, j] = map_(e)
+        e[j] = 0.0
+    return out
+
+
+def adjoint_dot_test(map_: LinearMap, trials: int = 100, seed: int = 0) -> float:
+    """Max relative dot-product mismatch |<Ax,y> - <x,A'y>| over random trials.
+
+    The mismatch is normalized by ||Ax|| ||y|| + ||x|| ||A'y||, so a
+    matched pair should score near machine epsilon.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.standard_normal(map_.domain_dim)
+        y = rng.standard_normal(map_.range_dim)
+        ax = map_(x)
+        aty = map_.adjoint(y)
+        num = abs(ax @ y - x @ aty)
+        den = np.linalg.norm(ax) * np.linalg.norm(y) + np.linalg.norm(x) * np.linalg.norm(aty)
+        if den == 0.0:
+            continue
+        worst = max(worst, num / den)
+    return worst
+
+
+def convergence_matrix(a_dense: np.ndarray, sigma, tau) -> np.ndarray:
+    """Dense step-condition matrix [[T^-1, -A^T], [-A, Sigma^-1]].
+
+    Positive semidefiniteness of this matrix is the convergence
+    condition for the primal-dual iteration.  sigma and tau may be
+    scalars, vectors, dense matrices, or a LinearMap (materialized).
+    """
+    a_dense = np.asarray(a_dense, dtype=float)
+    m, n = a_dense.shape
+
+    def as_inverse(step, dim):
+        if isinstance(step, LinearMap):
+            step = materialize_dense(step)
+        step = np.asarray(step, dtype=float)
+        if step.ndim == 0:
+            if step <= 0:
+                raise ValueError("steps must be positive")
+            return np.eye(dim) / float(step)
+        if step.ndim == 1:
+            if np.any(step <= 0):
+                raise ValueError("steps must be positive")
+            return np.diag(1.0 / step)
+        return np.linalg.inv(step)
+
+    top = np.hstack([as_inverse(tau, n), -a_dense.T])
+    bot = np.hstack([-a_dense, as_inverse(sigma, m)])
+    return np.vstack([top, bot])
+
+
+def classify_critical_point(h: np.ndarray) -> str:
+    """Classify a critical point from its symmetric Hessian.
+
+    Returns one of "minimum", "maximum", "saddle", "degenerate"
+    (eigenvalue within 1e-12 of zero).
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("Hessian must be square")
+    if not np.allclose(h, h.T, rtol=0, atol=1e-12 * max(1.0, np.abs(h).max())):
+        raise ValueError("Hessian must be symmetric")
+    ev = np.linalg.eigvalsh(h)
+    if np.any(np.abs(ev) <= EIG_ZERO_TOL):
+        return "degenerate"
+    if np.all(ev > 0):
+        return "minimum"
+    if np.all(ev < 0):
+        return "maximum"
+    return "saddle"
+
 
 def dense_adjoint_mismatch(a_dense: np.ndarray, forward, adjoint, trials=20, seed=0):
     """Worst relative defect of (forward, adjoint) against a dense matrix."""

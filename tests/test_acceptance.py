@@ -22,7 +22,7 @@ from pdtomo.ct import (
     gradient,
     projector,
 )
-from pdtomo.linop import adjoint_dot_test, from_dense, stack
+from pdtomo.linop import stack
 from pdtomo.phantom import generate
 from pdtomo.prox import (
     Grid1D,
@@ -36,7 +36,6 @@ from pdtomo.prox import (
 from pdtomo.solver import ProblemSpec, run_cgls, run_cppd, run_gd_lsq
 from pdtomo.spectral import (
     build_lowrank_T,
-    convergence_matrix,
     diagonal_steps,
     leading_eigenpairs,
     lowrank_steps,
@@ -44,7 +43,7 @@ from pdtomo.spectral import (
     spectral_norm,
 )
 
-from oracles import l1_project_by_sort
+from oracles import adjoint_dot_test, convergence_matrix, from_dense, l1_project_by_sort
 
 
 # -- shared desk-scale instance ------------------------------------------------

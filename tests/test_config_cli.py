@@ -611,6 +611,9 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         ("sweep", (), ["--param", "K", "--values", "1,5"], "K sweep needs solver = cppd and"),
         ("sweep", ("plan=diagonal",), ["--param", "K", "--values", "1,5"], "plan = lowrank"),
         ("sweep", ("solver=cgls",), ["--param", "rho", "--values", "0.5,1"], "needs solver = cppd"),
+        # equal values would run one experiment twice into one directory
+        ("sweep", (), ["--param", "rho", "--values", "0.5,0.50"], "'0.50' repeats rho = 0.5"),
+        ("sweep", ("plan=lowrank",), ["--param", "K", "--values", "3,1,03"], "'03' repeats K = 3"),
     ],
     ids=[
         "sweep-rho-abc",
@@ -621,6 +624,8 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         "sweep-K-scalar-plan",
         "sweep-K-diagonal-plan",
         "sweep-rho-cgls",
+        "sweep-rho-repeated",
+        "sweep-K-repeated",
     ],
 )
 def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings, extra, message):
@@ -631,6 +636,7 @@ def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_failed_prox_cross_check_exit_code(tmp_path, monkeypatch, capsys):
@@ -652,6 +658,35 @@ def test_main_failed_prox_cross_check_exit_code(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: [solve] dual prox cross-check failed at iteration 10:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_tvclsq_run_bytes_do_not_depend_on_the_threshold_hint(tmp_path, monkeypatch, seed):
+    # each dual prox starts its l1-ball threshold from the previous
+    # step's beta; the artifacts equal those of cold starts bit for bit
+    exact = solver.prox_tvc_conjugate
+    hints = []
+
+    def hinted(lam_g, sigma, radius, hint=0.0):
+        hints.append(hint)
+        return exact(lam_g, sigma, radius, hint)
+
+    def cold(lam_g, sigma, radius, hint=0.0):
+        return exact(lam_g, sigma, radius)
+
+    written = {}
+    for name, prox in (("hinted", hinted), ("cold", cold)):
+        monkeypatch.setattr(solver, "prox_tvc_conjugate", prox)
+        args = ["run", "-o", str(tmp_path / name)]
+        for pair in SMALL_RUN + ("problem=tvclsq", "k_max=80", f"seed={seed}"):
+            args += ["--set", pair]
+        assert cli.main(args) == 0
+        written[name] = [
+            (tmp_path / name / f).read_bytes() for f in ("convergence.csv", "final_image.raw")
+        ]
+    # the warm start ran on most steps
+    assert sum(h > 0 for h in hints) > 40
+    assert written["hinted"] == written["cold"]
 
 
 def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):

@@ -21,9 +21,8 @@ from pdtomo.ct import (
     gradient_norm,
     projector,
 )
-from pdtomo.linop import adjoint_dot_test, materialize_dense
 
-from oracles import chord_length, segment_in_square
+from oracles import adjoint_dot_test, chord_length, materialize_dense, segment_in_square
 
 
 def test_grid_must_be_square():

@@ -6,19 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdtomo.ct import ImageGrid, gradient, projector, build_geometry, fov_active
-from pdtomo.linop import (
+from pdtomo.linop import LinearMap, scaled, stack
+from pdtomo.spectral import spectral_norm
+
+from oracles import (
     DENSE_CAP,
-    LinearMap,
     adjoint_dot_test,
     from_dense,
     identity,
     materialize_dense,
-    scaled,
-    stack,
+    segment_in_square,
 )
-from pdtomo.spectral import spectral_norm
-
-from oracles import segment_in_square
 
 
 def test_identity_roundtrip():

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from pdtomo.prox import (
     Grid1D,
+    _l1_threshold,
     clip_linf,
     default_l1_tol,
     lf_transform_numeric,
@@ -227,6 +228,43 @@ def test_l1_projection_kkt_property(v, frac):
     dual = prox_tvc_conjugate(v, 1.0, r)
     assert dual.aux == beta
     assert np.array_equal(dual.value, np.clip(v, -beta, beta))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["dense", "ties", "sparse"]),
+    st.sampled_from([0.01, 0.5, None]),
+)
+@settings(max_examples=150, deadline=None)
+def test_l1_threshold_is_exact_for_every_hint(seed, kind, share):
+    # a warm start from any hint, good, bad or meaningless, ends on the
+    # sort-based projection; random inputs may differ from the cold
+    # threshold in the last bits, so agreement is to the recorded bound
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    if kind == "ties":
+        v = rng.integers(1, 4, n) * rng.choice([-0.5, 0.5], n)
+    else:
+        v = rng.standard_normal(n) * 10 ** rng.uniform(-3, 3)
+        if kind == "sparse":
+            v[rng.random(n) >= 0.1] = 0.0
+            v[rng.integers(n)] = 1.0
+    a = np.abs(v)
+    total = float(a.sum())
+    r = (share if share is not None else rng.uniform(0.001, 0.999)) * total
+    want = project_l1_ball_sorted(v, r)
+    b_star = want.aux
+    tol = default_l1_tol(v)
+    hints = (0.0, b_star, b_star * (1 + 1e-3), b_star * (1 - 1e-3), 2 * b_star,
+             b_star / 2, 2 * a.max(), 1e-300, np.inf, np.nan)
+    with np.errstate(all="raise"):
+        for hint in hints:
+            beta = _l1_threshold(a, total, r, hint)
+            assert abs(beta - b_star) <= tol
+            assert np.linalg.norm(shrink(v, beta) - want.value) <= tol
+            dual = prox_tvc_conjugate(v, 1.0, r, hint)
+            assert dual.aux == beta
+            assert np.linalg.norm(dual.value - (v - want.value)) <= tol
 
 
 def test_l1_projection_norm_within_tol():

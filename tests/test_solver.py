@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pdtomo.ct import ImageGrid, build_geometry, fov_active, gradient, projector
-from pdtomo.linop import StackedMap, from_dense, identity
+from pdtomo.linop import StackedMap
 from pdtomo.phantom import generate
 from pdtomo.prox import project_l1_ball_sorted
 from pdtomo.solver import (
@@ -38,6 +38,8 @@ from pdtomo.spectral import (
     spectral_norm,
 )
 from pdtomo.toysaddle import cppd_matrix
+
+from oracles import from_dense, identity
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +185,7 @@ def test_tvlsq_loop_equals_repeated_steps(tiny):
     manual = chain_steps(spec, plan, 20)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
+    assert np.array_equal(final.y, manual.y)
 
 
 def test_tvclsq_loop_equals_repeated_steps(tiny):
@@ -201,6 +204,7 @@ def test_tvclsq_loop_equals_repeated_steps(tiny):
     manual = chain_steps(spec, plan, 15)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
+    assert np.array_equal(final.y, manual.y)
 
 
 def test_diagonal_plan_loop_equals_repeated_steps(tiny):
@@ -212,6 +216,7 @@ def test_diagonal_plan_loop_equals_repeated_steps(tiny):
     manual = chain_steps(spec, plan, 12)
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
+    assert np.array_equal(final.y, manual.y)
 
 
 def test_lowrank_plan_loop_equals_repeated_steps(tiny):
@@ -225,6 +230,31 @@ def test_lowrank_plan_loop_equals_repeated_steps(tiny):
     assert np.array_equal(final.x, manual.x)
     assert np.array_equal(final.lam, manual.lam)
     assert np.array_equal(final.y, manual.y)
+
+
+def test_strided_run_matches_every_step_run(tiny):
+    # run_cppd skips y on the steps it does not record; the iterates,
+    # the final y and the recorded metrics are those of a run that
+    # records every step
+    nu = tv_weight(tiny)
+    spec = ProblemSpec(
+        kind="tvclsq",
+        x_map=tiny["x_map"],
+        g=tiny["g"],
+        d_map=tiny["d_map"],
+        gamma=generate(tiny["grid"], 3).tv_value,
+        nu=nu,
+    )
+    plan = scalar_steps(spectral_norm(spec.operator()))
+    strided, rec = run_cppd(spec, plan, k_max=30, record_stride=4)
+    every, full = run_cppd(spec, plan, k_max=30)
+    for name in ("x", "lam", "y", "ax", "atl"):
+        assert np.array_equal(getattr(strided, name), getattr(every, name)), name
+    assert strided.beta == every.beta > 0.0
+    assert rec.iters == [0, 4, 8, 12, 16, 20, 24, 28, 30]
+    for k in rec.iters:
+        for name in ("r_sigma", "cpd_gap", "beta"):
+            assert rec.at_iteration(k, name) == full.at_iteration(k, name)
 
 
 def test_step_carries_products_exactly(tiny):

@@ -15,12 +15,11 @@ from pdtomo.ct import (
     gradient_norm,
     projector,
 )
-from pdtomo.linop import LinearMap, from_dense, identity, materialize_dense, stack
+from pdtomo.linop import LinearMap, stack
 from pdtomo.spectral import (
     EigenSet,
     StepPlan,
     build_lowrank_T,
-    convergence_matrix,
     diagonal_steps,
     leading_eigenpairs,
     lowrank_steps,
@@ -29,6 +28,8 @@ from pdtomo.spectral import (
     smooth_eigenset,
     spectral_norm,
 )
+
+from oracles import convergence_matrix, from_dense, identity, materialize_dense
 
 
 def well_gapped_map(n=6, seed=5):

@@ -14,7 +14,6 @@ from pdtomo.toysaddle import (
     abe_matrix,
     abe_s0,
     backward_euler,
-    classify_critical_point,
     cppd_1d_quadratic,
     cppd_matrix,
     forward_euler_s0,
@@ -23,6 +22,8 @@ from pdtomo.toysaddle import (
     perfect_preconditioning,
     sigma_sweep,
 )
+
+from oracles import classify_critical_point
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
