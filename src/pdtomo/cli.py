@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from concurrent.futures import ProcessPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -264,7 +263,8 @@ def _sweep_one(cfg: ExperimentConfig) -> dict:
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
-    """Run one experiment per value; failures are recorded, not fatal."""
+    """Run one experiment per value; a failed value is recorded, not
+    fatal, but a ConfigError that every value's config raises is."""
     if parameter not in _SWEEP_FIELDS:
         raise ConfigError(f"sweep parameter must be one of {sorted(_SWEEP_FIELDS)}")
     if not values:
@@ -287,15 +287,32 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
     if cfg.solver != "cppd" or (parameter == "K" and cfg.plan != "lowrank"):
         need = "solver = cppd" + (" and plan = lowrank" if parameter == "K" else "")
         raise ConfigError(f"a {parameter} sweep needs {need}")
-    parent = ensure_dir(cfg.outdir)
+    parent = Path(cfg.outdir)
     runs = [
         (value, replace(cfg, **{field_name: value}, outdir=str(parent / f"{parameter}_{value}")))
         for value in parsed
     ]
+    # a value whose config is invalid is a failed row, but a config error
+    # that no swept value fixes ends the sweep before anything is written
+    errors = []
+    for _, sub in runs:
+        try:
+            sub.validate()
+        except ConfigError as exc:
+            errors.append(exc)
+    if len(errors) == len(runs):
+        raise errors[0]
+    ensure_dir(parent)
 
     columns = ("final_image_rmse", "final_r_sigma", "final_r_tau")
     rows = []
-    pool_cm = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else nullcontext()
+    if cfg.workers > 1:
+        # imported here: only parallel sweeps load the process pool
+        from concurrent.futures import ProcessPoolExecutor, wait
+
+        pool_cm = ProcessPoolExecutor(cfg.workers)
+    else:
+        pool_cm = nullcontext()
     with pool_cm as pool:
         # with a pool each job is a future; serially a job is the config,
         # run when its turn comes

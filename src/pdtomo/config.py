@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ConfigError("k_max must be >= 1")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
         if not self.rho > 0:
             raise ConfigError("rho must be positive")
         if self.problem not in ("lsq", "tvlsq", "tvclsq"):

@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.ndimage import convolve1d
 
 from .linop import LinearMap, Vector
 
@@ -343,6 +342,9 @@ def gaussian_kernel(width_pixels: float) -> np.ndarray:
 
 def gaussian_smooth(grid: ImageGrid, width_pixels: float) -> LinearMap:
     """Separable Gaussian blur with zero padding; symmetric (S = S^T)."""
+    # imported here: only smoothed low-rank plans load scipy.ndimage
+    from scipy.ndimage import convolve1d
+
     k = gaussian_kernel(width_pixels)
     nx, ny = grid.nx, grid.ny
 

@@ -151,21 +151,25 @@ def load_eigenset(path) -> tuple[EigenSet, float, bytes]:
     length that does not match the header, or a sigma0 that is not
     finite and positive.
     """
-    blob = Path(path).read_bytes()
-    if blob[:4] != _EIG_MAGIC:
-        raise ValueError(f"{path}: not an eigenset file in the {EIG_FORMAT} format")
-    if len(blob) < _EIG_HEADER:
-        raise ValueError(f"{path}: {len(blob)} bytes, shorter than the {_EIG_HEADER}-byte header")
-    n, k = struct.unpack_from("<II", blob, 4)
-    want = _EIG_HEADER + 8 * k * (n + 1)
-    if len(blob) != want:
-        raise ValueError(f"{path}: {len(blob)} bytes, but {k} pairs of length {n} need {want}")
-    key = blob[12 : 12 + _KEY_BYTES]
-    (sigma0,) = struct.unpack_from("<d", blob, 12 + _KEY_BYTES)
-    if not (np.isfinite(sigma0) and sigma0 > 0):
-        raise ValueError(f"{path}: sigma0 {sigma0!r} is not finite and positive")
-    values = np.frombuffer(blob, "<f8", k, _EIG_HEADER).copy()
-    vectors = np.frombuffer(blob, "<f8", k * n, _EIG_HEADER + 8 * k).reshape(k, n).copy()
+    # values and vectors are read straight from the file, so loading
+    # holds one copy of the plan, not the file's bytes beside it
+    with open(path, "rb") as fh:
+        head = fh.read(_EIG_HEADER)
+        if head[:4] != _EIG_MAGIC:
+            raise ValueError(f"{path}: not an eigenset file in the {EIG_FORMAT} format")
+        size = os.fstat(fh.fileno()).st_size
+        if size < _EIG_HEADER:
+            raise ValueError(f"{path}: {size} bytes, shorter than the {_EIG_HEADER}-byte header")
+        n, k = struct.unpack_from("<II", head, 4)
+        want = _EIG_HEADER + 8 * k * (n + 1)
+        if size != want:
+            raise ValueError(f"{path}: {size} bytes, but {k} pairs of length {n} need {want}")
+        key = head[12 : 12 + _KEY_BYTES]
+        (sigma0,) = struct.unpack_from("<d", head, 12 + _KEY_BYTES)
+        if not (np.isfinite(sigma0) and sigma0 > 0):
+            raise ValueError(f"{path}: sigma0 {sigma0!r} is not finite and positive")
+        values = np.fromfile(fh, "<f8", k)
+        vectors = np.fromfile(fh, "<f8", k * n).reshape(k, n)
     return EigenSet(vectors, values), sigma0, key
 
 

@@ -614,6 +614,11 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         # equal values would run one experiment twice into one directory
         ("sweep", (), ["--param", "rho", "--values", "0.5,0.50"], "'0.50' repeats rho = 0.5"),
         ("sweep", ("plan=lowrank",), ["--param", "K", "--values", "3,1,03"], "'03' repeats K = 3"),
+        # config errors that no swept value fixes
+        ("sweep", ("k_max=0",), ["--param", "rho", "--values", "1,2"], "k_max must be >= 1"),
+        ("sweep", ("plan=lowrank",), ["--param", "K", "--values", "300,257"], "nx*nx = 256"),
+        ("run", ("workers=0",), [], "workers must be >= 1"),
+        ("sweep", ("workers=-1",), ["--param", "rho", "--values", "0.5,1"], "workers must be >= 1"),
     ],
     ids=[
         "sweep-rho-abc",
@@ -626,6 +631,10 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         "sweep-rho-cgls",
         "sweep-rho-repeated",
         "sweep-K-repeated",
+        "sweep-k_max-0",
+        "sweep-K-all-above-nx2",
+        "workers-0",
+        "sweep-workers-negative",
     ],
 )
 def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings, extra, message):
@@ -691,7 +700,9 @@ def test_tvclsq_run_bytes_do_not_depend_on_the_threshold_hint(tmp_path, monkeypa
 
 def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):
     # scipy.sparse.linalg pulls in scipy.linalg, several MB resident that
-    # the numpy Lanczos engine does not need, low-rank plans included
+    # the numpy Lanczos engine does not need, low-rank plans included;
+    # scipy.ndimage serves only smoothed plans and the process pool only
+    # parallel sweeps
     tv = ["--set", "problem=tvclsq", "-o", str(tmp_path / "tv")]
     lowrank = ["--set", "plan=lowrank", "--set", "k_eigs=3",
                "--set", f"cache_dir={tmp_path / 'cache'}", "-o", str(tmp_path / "lr")]
@@ -701,7 +712,8 @@ from pdtomo import cli
 common = ["--set", "nx=16", "--set", "n_views=12", "--set", "n_bins=24", "--set", "k_max=5"]
 for extra in ({tv!r}, {lowrank!r}):
     assert cli.main(["run", *common, *extra]) == 0
-print(sorted(m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules))
+unused = ("scipy.sparse.linalg", "scipy.linalg", "scipy.ndimage", "concurrent.futures.process")
+print(sorted(m for m in unused if m in sys.modules))
 """
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
