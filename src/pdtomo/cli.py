@@ -530,6 +530,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    # an I/O error, such as an output or cache path that cannot be
+    # created or written; for a path error the message names the path
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 1
     # ConfigError, a ValueError, is caught above; DivergenceError is a
     # RuntimeError and LinAlgError a ValueError
     except (FloatingPointError, RuntimeError, ValueError) as exc:

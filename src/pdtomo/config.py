@@ -37,8 +37,8 @@ class ExperimentConfig:
     `gamma` is either a number or the literal token "phantom-tv"
     (constraint set to the generated phantom's total variation).
     `n_views`, `n_bins`, `arc` override the geometry preset when
-    positive.  `blur_width` > 0 smooths low-rank eigenvectors with a
-    Gaussian of that pixel width.
+    positive; 0 keeps the preset's value.  `blur_width` > 0 smooths
+    low-rank eigenvectors with a Gaussian of that pixel width.
     """
 
     nx: int = 64
@@ -71,6 +71,12 @@ class ExperimentConfig:
             raise ConfigError("record_stride must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        # NaN fails these tests too; 0 keeps the preset's value
+        for name in ("n_views", "n_bins", "arc"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be nonnegative (0 uses the preset)")
         if not self.rho > 0:
             raise ConfigError("rho must be positive")
         if self.problem not in ("lsq", "tvlsq", "tvclsq"):

@@ -280,16 +280,31 @@ def _system_matrices(grid: ImageGrid, geom: FanBeamGeometry):
     return mat, mat.T.tocsr()
 
 
+def _pair_map(pair: tuple[sp.csr_matrix, sp.csr_matrix], label: str) -> LinearMap:
+    """Matched map over a stored CSR pair (A, A^T)."""
+    mat, mat_t = pair
+    return LinearMap(
+        mat.shape[1], mat.shape[0], lambda x: mat @ x, lambda y: mat_t @ y, label=label
+    )
+
+
 def projector(grid: ImageGrid, geom: FanBeamGeometry) -> LinearMap:
     """System matrix X (n -> n_rays): intersection lengths with FOV pixels."""
-    mat, mat_t = _system_matrices(grid, geom)
-    return LinearMap(
-        grid.n,
-        geom.n_rays,
-        lambda x: mat @ x,
-        lambda y: mat_t @ y,
-        label="X",
-    )
+    return _pair_map(_system_matrices(grid, geom), "X")
+
+
+@lru_cache(maxsize=8)
+def _gradient_matrices(nx: int):
+    """Cached CSR pair (D, D^T) of the forward-difference gradient on an
+    nx x nx grid, built from the 1D difference matrix d (last row zero)."""
+    d = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx))
+    d = sp.vstack([d, sp.csr_matrix((1, nx))])
+    eye = sp.identity(nx)
+    # "csr" keeps kron off its block path, which stores zeros for small nx
+    horiz = sp.kron(eye, d, format="csr")
+    vert = sp.kron(d, eye, format="csr")
+    mat = sp.vstack([horiz, vert], format="csr")
+    return mat, mat.T.tocsr()
 
 
 def gradient(grid: ImageGrid) -> LinearMap:
@@ -299,27 +314,7 @@ def gradient(grid: ImageGrid) -> LinearMap:
     (zero in the last column), the last n are vertical differences
     (zero in the last row); the adjoint is the exact transpose.
     """
-    nx, ny, n = grid.nx, grid.ny, grid.n
-
-    def fwd(f: Vector) -> Vector:
-        img = f.reshape(ny, nx)
-        gx = np.zeros_like(img)
-        gy = np.zeros_like(img)
-        gx[:, :-1] = img[:, 1:] - img[:, :-1]
-        gy[:-1, :] = img[1:, :] - img[:-1, :]
-        return np.concatenate([gx.ravel(), gy.ravel()])
-
-    def adj(p: Vector) -> Vector:
-        px = p[:n].reshape(ny, nx)
-        py = p[n:].reshape(ny, nx)
-        out = np.zeros((ny, nx))
-        out[:, :-1] -= px[:, :-1]
-        out[:, 1:] += px[:, :-1]
-        out[:-1, :] -= py[:-1, :]
-        out[1:, :] += py[:-1, :]
-        return out.ravel()
-
-    return LinearMap(n, 2 * n, fwd, adj, label="D")
+    return _pair_map(_gradient_matrices(grid.nx), "D")
 
 
 def gradient_norm(grid: ImageGrid) -> float:

@@ -27,10 +27,11 @@ class LinearMap:
     range_dim : int
         Length m of output vectors.
     forward : callable
-        Maps a length-n vector to a length-m vector.
+        Maps a length-n vector to a new length-m vector, which the
+        caller may modify in place.
     adjoint : callable
-        Maps a length-m vector to a length-n vector; must be the exact
-        transpose of `forward`.
+        Maps a length-m vector to a new length-n vector; must be the
+        exact transpose of `forward`.
     label : str
         Short name used in error messages.
     """
@@ -65,50 +66,6 @@ class LinearMap:
         return f"LinearMap({self.label}, {self.range_dim}x{self.domain_dim})"
 
 
-class StackedMap(LinearMap):
-    """Vertical stack [w_1 A_1; ...; w_B A_B] of maps sharing a domain.
-
-    Weights scale both forward and adjoint so the stack is itself an
-    exact matched pair.  `offsets` partitions the range: block i
-    occupies out[offsets[i]:offsets[i+1]].
-    """
-
-    def __init__(self, blocks: Sequence[tuple[float, LinearMap]], label: str = "stack"):
-        if len(blocks) == 0:
-            raise ValueError("stack needs at least one block")
-        n = blocks[0][1].domain_dim
-        for w, blk in blocks:
-            if blk.domain_dim != n:
-                raise ValueError(
-                    f"stacked blocks must share the domain: {blk.domain_dim} != {n}"
-                )
-            if not w > 0:
-                raise ValueError(f"stack weights must be positive, got {w}")
-        dims = [blk.range_dim for _, blk in blocks]
-        offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-        super().__init__(
-            domain_dim=n,
-            range_dim=int(offsets[-1]),
-            forward=self._stack_forward,
-            adjoint=self._stack_adjoint,
-            label=label,
-        )
-        self.blocks = [(float(w), blk) for w, blk in blocks]
-        self.offsets = offsets
-
-    def _stack_forward(self, x: Vector) -> Vector:
-        out = np.empty(self.range_dim)
-        for (w, blk), lo, hi in zip(self.blocks, self.offsets, self.offsets[1:]):
-            out[lo:hi] = w * blk(x)
-        return out
-
-    def _stack_adjoint(self, y: Vector) -> Vector:
-        out = np.zeros(self.domain_dim)
-        for (w, blk), lo, hi in zip(self.blocks, self.offsets, self.offsets[1:]):
-            out += w * blk.adjoint(y[lo:hi])
-        return out
-
-
 def apply(map_: LinearMap, x: Vector) -> Vector:
     """Apply the forward map, checking the input length."""
     x = np.asarray(x, dtype=float)
@@ -129,9 +86,39 @@ def apply_adjoint(map_: LinearMap, y: Vector) -> Vector:
     return np.asarray(map_._adjoint(y), dtype=float)
 
 
-def stack(blocks: Sequence[tuple[float, LinearMap]], label: str = "stack") -> StackedMap:
-    """Stack weighted maps vertically: forward concatenates w_i A_i x."""
-    return StackedMap(blocks, label=label)
+def stack(blocks: Sequence[tuple[float, LinearMap]], label: str = "stack") -> LinearMap:
+    """Vertical stack [w_1 A_1; ...; w_B A_B] of maps sharing a domain.
+
+    Weights scale both forward and adjoint, so the stack is itself an
+    exact matched pair.  The blocks' ranges follow one another in order.
+    """
+    if len(blocks) == 0:
+        raise ValueError("stack needs at least one block")
+    n = blocks[0][1].domain_dim
+    for w, blk in blocks:
+        if blk.domain_dim != n:
+            raise ValueError(f"stacked blocks must share the domain: {blk.domain_dim} != {n}")
+        if not w > 0:
+            raise ValueError(f"stack weights must be positive, got {w}")
+    bounds = np.cumsum([0] + [blk.range_dim for _, blk in blocks]).tolist()
+    parts = [(float(w), blk, lo, hi) for (w, blk), lo, hi in zip(blocks, bounds, bounds[1:])]
+
+    def forward(x: Vector) -> Vector:
+        out = np.empty(bounds[-1])
+        for w, blk, lo, hi in parts:
+            out[lo:hi] = blk(x)
+            out[lo:hi] *= w
+        return out
+
+    def adjoint(y: Vector) -> Vector:
+        out = np.zeros(n)
+        for w, blk, lo, hi in parts:
+            part = blk.adjoint(y[lo:hi])
+            part *= w
+            out += part
+        return out
+
+    return LinearMap(n, bounds[-1], forward, adjoint, label=label)
 
 
 def scaled(w: float, map_: LinearMap) -> LinearMap:

@@ -246,6 +246,31 @@ def gradient_matrix_2x2() -> np.ndarray:
     return np.vstack([h, v])
 
 
+def gradient_by_slices(f: np.ndarray, nx: int) -> np.ndarray:
+    """Forward differences of an nx x nx image by array slicing: the
+    horizontal f[y, x+1] - f[y, x] (zero in the last column), then the
+    vertical ones (zero in the last row)."""
+    img = f.reshape(nx, nx)
+    gx = np.zeros_like(img)
+    gy = np.zeros_like(img)
+    gx[:, :-1] = img[:, 1:] - img[:, :-1]
+    gy[:-1, :] = img[1:, :] - img[:-1, :]
+    return np.concatenate([gx.ravel(), gy.ravel()])
+
+
+def gradient_adjoint_by_slices(p: np.ndarray, nx: int) -> np.ndarray:
+    """Transpose of `gradient_by_slices`, also by array slicing."""
+    n = nx * nx
+    px = p[:n].reshape(nx, nx)
+    py = p[n:].reshape(nx, nx)
+    out = np.zeros((nx, nx))
+    out[:, :-1] -= px[:, :-1]
+    out[:, 1:] += px[:, :-1]
+    out[:-1, :] -= py[:-1, :]
+    out[1:, :] += py[:-1, :]
+    return out.ravel()
+
+
 def lf_transform_slow(x: np.ndarray, fx: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Direct evaluation of max_x (m*x - f(x)), skipping infinite samples."""
     out = np.empty(len(m))

@@ -619,6 +619,11 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         ("sweep", ("plan=lowrank",), ["--param", "K", "--values", "300,257"], "nx*nx = 256"),
         ("run", ("workers=0",), [], "workers must be >= 1"),
         ("sweep", ("workers=-1",), ["--param", "rho", "--values", "0.5,1"], "workers must be >= 1"),
+        ("run", ("seed=-1",), [], "seed must be >= 0"),
+        # 0 keeps the preset's value; a negative one was silently ignored
+        ("run", ("n_views=-3",), [], "n_views must be nonnegative"),
+        ("run", ("n_bins=-1",), [], "n_bins must be nonnegative"),
+        ("sweep", ("arc=-0.5",), ["--param", "rho", "--values", "0.5,1"], "arc must be nonnegative"),
     ],
     ids=[
         "sweep-rho-abc",
@@ -635,6 +640,10 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         "sweep-K-all-above-nx2",
         "workers-0",
         "sweep-workers-negative",
+        "seed-negative",
+        "n_views-negative",
+        "n_bins-negative",
+        "sweep-arc-negative",
     ],
 )
 def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings, extra, message):
@@ -646,6 +655,30 @@ def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings,
     assert err.startswith("config error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, outdir, settings, extra, bad",
+    [
+        ("run", "afile/sub", (), [], "afile/sub"),
+        ("sweep", "afile/sub", (), ["--param", "rho", "--values", "0.5,1"], "afile/sub"),
+        ("run", "out", ("plan=lowrank", "cache_dir=afile"), [], "afile"),
+    ],
+    ids=["run-outdir", "sweep-outdir", "run-cache_dir"],
+)
+def test_main_uncreatable_path_exit_code(
+    tmp_path, monkeypatch, capsys, command, outdir, settings, extra, bad
+):
+    # a regular file stands where a directory must be created
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    args = [command, "-o", outdir, *extra]
+    for pair in SMALL_RUN + settings:
+        args += ["--set", pair]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error:") and f"'{bad}'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_main_failed_prox_cross_check_exit_code(tmp_path, monkeypatch, capsys):

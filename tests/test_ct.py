@@ -10,6 +10,7 @@ from pdtomo.ct import (
     FanBeamGeometry,
     ImageGrid,
     Sinogram,
+    _gradient_matrices,
     _siddon_views,
     _system_matrices,
     build_geometry,
@@ -21,8 +22,17 @@ from pdtomo.ct import (
     gradient_norm,
     projector,
 )
+from pdtomo.linop import LinearMap
 
-from oracles import adjoint_dot_test, chord_length, materialize_dense, segment_in_square
+from oracles import (
+    DENSE_CAP,
+    adjoint_dot_test,
+    chord_length,
+    gradient_adjoint_by_slices,
+    gradient_by_slices,
+    materialize_dense,
+    segment_in_square,
+)
 
 
 def test_grid_must_be_square():
@@ -326,6 +336,42 @@ def test_gradient_adjoint_is_exact_transpose():
         p = rng.standard_normal(2 * grid.n)
         assert np.allclose(d_map.adjoint(p), dense.T @ p, atol=1e-13)
     assert adjoint_dot_test(d_map, trials=100) <= 1e-12
+
+
+@pytest.mark.parametrize("nx", [2, 3, 16, 64])
+def test_gradient_matches_slice_differences(nx):
+    grid = ImageGrid(nx, nx, 1.0)
+    d_map = gradient(grid)
+    mat, mat_t = _gradient_matrices(nx)
+    # stored entries are the nonzeros, in canonical CSR order
+    for m in (mat, mat_t):
+        assert m.format == "csr" and m.has_canonical_format and np.all(m.data != 0)
+    rng = np.random.default_rng(nx)
+    for _ in range(3):
+        f = rng.standard_normal(grid.n)
+        p = rng.standard_normal(2 * grid.n)
+        assert np.array_equal(d_map(f), gradient_by_slices(f, nx))
+        # same terms, summed in CSR column order: at most a few roundings apart
+        assert np.allclose(
+            d_map.adjoint(p), gradient_adjoint_by_slices(p, nx), rtol=0, atol=1e-14
+        )
+    # the stored adjoint is the forward's transpose, entry for entry
+    assert (mat_t != mat.T).nnz == 0
+    # and the map applies it: checked densely where D fits under the cap
+    if 2 * grid.n * grid.n <= DENSE_CAP:
+        d_t = LinearMap(2 * grid.n, grid.n, d_map.adjoint, d_map, label="D^T")
+        assert np.array_equal(materialize_dense(d_t), materialize_dense(d_map).T)
+
+
+def test_gradient_calls_share_one_cached_pair():
+    first = gradient(ImageGrid(11, 11, 1.0))
+    before = _gradient_matrices.cache_info()
+    # D does not depend on the side length
+    second = gradient(ImageGrid(11, 11, 7.0))
+    after = _gradient_matrices.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    f = np.arange(121.0) ** 2
+    assert np.array_equal(first(f), second(f))
 
 
 def test_gradient_norm_bounded_by_sqrt8():

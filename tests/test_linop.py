@@ -96,6 +96,26 @@ def test_stack_adjoint_is_weighted_sum_of_block_adjoints():
     assert np.array_equal(dense, np.vstack([2.0 * a, 0.5 * b]))
 
 
+def test_stack_blocks_are_weighted_block_outputs_bitwise(desk_projector, desk_gradient):
+    rng = np.random.default_rng(5)
+    dense = from_dense(rng.standard_normal((7, desk_gradient.domain_dim)))
+    blocks = [(1.0, desk_projector), (2.5, desk_gradient), (0.3, dense)]
+    s = stack(blocks)
+    x = rng.standard_normal(s.domain_dim)
+    y = rng.standard_normal(s.range_dim)
+    out = s(x)
+    # the adjoint is the sum of the weighted block adjoints, in block order
+    want_adjoint = np.zeros(s.domain_dim)
+    lo = 0
+    for w, blk in blocks:
+        hi = lo + blk.range_dim
+        assert np.array_equal(out[lo:hi], w * blk(x))
+        want_adjoint += w * blk.adjoint(y[lo:hi])
+        lo = hi
+    assert hi == s.range_dim
+    assert np.array_equal(s.adjoint(y), want_adjoint)
+
+
 def test_stack_rejects_empty_and_mismatched_blocks():
     with pytest.raises(ValueError):
         stack([])
