@@ -10,7 +10,8 @@ Subcommands:
 
 Each run writes `convergence.csv`, `final_image.raw`, `final_image.pgm`,
 and a `manifest` that is itself a valid config reproducing the run.
-Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration error (a geometry too large for
+memory included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -103,12 +104,6 @@ def build_geom(cfg: ExperimentConfig) -> FanBeamGeometry:
         raise ConfigError(str(exc)) from None
 
 
-def _resolve_gamma(cfg: ExperimentConfig, phantom_tv: float) -> float:
-    if cfg.gamma == "phantom-tv":
-        return phantom_tv
-    return float(cfg.gamma)
-
-
 def assemble_problem(cfg: ExperimentConfig, grid, geom, phantom) -> ProblemSpec:
     """Inverse-crime problem: data generated by the reconstruction model."""
     x_map = projector(grid, geom)
@@ -116,20 +111,10 @@ def assemble_problem(cfg: ExperimentConfig, grid, geom, phantom) -> ProblemSpec:
     active = fov_active(grid)
     if cfg.problem == "lsq":
         return ProblemSpec("lsq", x_map, g, active=active)
-    d_map = gradient(grid)
     nu = spectral_norm(x_map, cfg.seed) / gradient_norm(grid)
-    if cfg.problem == "tvlsq":
-        return ProblemSpec(
-            "tvlsq", x_map, g, d_map=d_map, beta=cfg.beta, nu=nu, active=active
-        )
+    gamma = phantom.tv_value if cfg.gamma == "phantom-tv" else float(cfg.gamma)
     return ProblemSpec(
-        "tvclsq",
-        x_map,
-        g,
-        d_map=d_map,
-        gamma=_resolve_gamma(cfg, phantom.tv_value),
-        nu=nu,
-        active=active,
+        cfg.problem, x_map, g, d_map=gradient(grid), beta=cfg.beta, gamma=gamma, nu=nu, active=active
     )
 
 
@@ -534,6 +519,10 @@ def main(argv=None) -> int:
     # created or written; for a path error the message names the path
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
+        return 1
+    # numpy refuses a huge geometry's system matrix at once, before allocating it
+    except MemoryError as exc:
+        print(f"config error: out of memory, reduce nx, n_views or n_bins ({exc})", file=sys.stderr)
         return 1
     # ConfigError, a ValueError, is caught above; DivergenceError is a
     # RuntimeError and LinAlgError a ValueError

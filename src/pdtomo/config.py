@@ -10,6 +10,7 @@ count), so manifests that carry them still replay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -65,6 +66,20 @@ class ExperimentConfig:
     cache_dir: str = "eigcache"
 
     def validate(self) -> "ExperimentConfig":
+        floats = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"}
+        if self.gamma != "phantom-tv":
+            try:
+                floats["gamma"] = float(self.gamma)
+            except ValueError:
+                raise ConfigError(
+                    f"gamma must be a number or 'phantom-tv', got {self.gamma!r}"
+                ) from None
+        # NaN and infinity would slip past the range checks below
+        for name, value in floats.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.nx < 1:
+            raise ConfigError("nx must be >= 1")
         if self.k_max < 1:
             raise ConfigError("k_max must be >= 1")
         if self.record_stride < 1:
@@ -87,28 +102,20 @@ class ExperimentConfig:
             raise ConfigError(f"unknown plan {self.plan!r}")
         if self.solver in ("gd", "cgls") and self.problem != "lsq":
             raise ConfigError(f"solver {self.solver!r} only handles the lsq problem")
-        if self.plan == "diagonal" and self.problem == "tvclsq":
-            raise ConfigError(
-                "diagonal steps give a per-component dual step, but the "
-                "tvclsq dual prox needs a scalar sigma"
-            )
-        if self.problem in ("tvlsq", "tvclsq") and self.nx < 2:
-            raise ConfigError("TV problems need nx >= 2: a one-pixel image has no gradient")
+        if self.problem in ("tvlsq", "tvclsq"):
+            # row/column-sum steps need nonnegative entries, and D's are signed
+            if self.plan == "diagonal":
+                raise ConfigError("plan = diagonal serves only lsq: D has negative entries")
+            if self.nx < 2:
+                raise ConfigError("TV problems need nx >= 2: a one-pixel image has no gradient")
         if not 1 <= self.k_eigs <= self.nx * self.nx:
             raise ConfigError(f"k_eigs must be in [1, nx*nx = {self.nx * self.nx}]")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
         if self.blur_width < 0:
             raise ConfigError("blur_width must be nonnegative")
-        if self.gamma != "phantom-tv":
-            try:
-                value = float(self.gamma)
-            except ValueError:
-                raise ConfigError(
-                    f"gamma must be a number or 'phantom-tv', got {self.gamma!r}"
-                ) from None
-            if self.problem == "tvclsq" and not value > 0:
-                raise ConfigError("gamma must be positive")
+        if self.problem == "tvclsq" and "gamma" in floats and not floats["gamma"] > 0:
+            raise ConfigError("gamma must be positive")
         return self
 
 

@@ -190,28 +190,24 @@ def project_l1_ball_sorted(v: Vector, r: float) -> ProxResult:
     return ProxResult(shrink(v, beta), aux=beta)
 
 
-def prox_tvc_conjugate(
-    lam_g: Vector, sigma: float, radius_times_sigma: float, hint: float = 0.0
-) -> ProxResult:
+def prox_tvc_conjugate(lam_g: Vector, radius: float, hint: float = 0.0) -> ProxResult:
     """Prox of the conjugate of the l1-ball indicator, via Moreau.
 
-    prox = lam_g - projection of lam_g onto the l1 ball of radius
-    nu*gamma*sigma, which is the clip of lam_g to [-beta, beta] with the
-    projection's threshold beta.  When lam_g is already inside the ball
-    the output is exactly zero (and the reported beta is zero).  `hint`
-    is a nearby threshold to start the search from (see `_l1_threshold`);
-    the result is exact for any hint.
+    prox = lam_g - projection of lam_g onto the l1 ball of the given
+    radius (nu*gamma*sigma for a dual step sigma), which is the clip of
+    lam_g to [-beta, beta] with the projection's threshold beta.  When
+    lam_g is already inside the ball the output is exactly zero (and the
+    reported beta is zero).  `hint` is a nearby threshold to start the
+    search from (see `_l1_threshold`); the result is exact for any hint.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if not radius_times_sigma > 0:
+    if not radius > 0:
         raise ValueError("ball radius must be positive")
     lam_g = np.asarray(lam_g, dtype=float)
     a = np.abs(lam_g)
     total = _l1_norm_checked(a)
-    if total <= radius_times_sigma:
+    if total <= radius:
         return ProxResult(np.zeros_like(lam_g), aux=0.0)
-    beta = _l1_threshold(a, total, radius_times_sigma, hint)
+    beta = _l1_threshold(a, total, radius, hint)
     return ProxResult(np.clip(lam_g, -beta, beta), aux=beta)
 
 

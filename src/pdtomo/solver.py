@@ -182,26 +182,21 @@ def _cpd_gap(problem: ProblemSpec, ax: Vector, lam: Vector) -> tuple[float, floa
     are violated.
     """
     g = problem.g
-    if problem.kind == "lsq":
-        gap = 0.5 * np.sum((ax - g) ** 2) + 0.5 * np.sum(lam**2) + lam @ g
-        return float(gap), np.nan
     m_s = problem.x_map.range_dim
-    ax_s, ax_g = ax[:m_s], ax[m_s:]
-    lam_s, lam_g = lam[:m_s], lam[m_s:]
-    data_part = 0.5 * np.sum((ax_s - g) ** 2) + 0.5 * np.sum(lam_s**2) + lam_s @ g
+    ax_s, lam_s = ax[:m_s], lam[:m_s]
+    gap = 0.5 * np.sum((ax_s - g) ** 2) + 0.5 * np.sum(lam_s**2) + lam_s @ g
+    if problem.kind == "lsq":
+        return float(gap), np.nan
+    ax_g, lam_g = ax[m_s:], lam[m_s:]
     if problem.kind == "tvlsq":
-        gap = data_part + (problem.beta / problem.nu) * np.abs(ax_g).sum()
         radius = problem.beta / problem.nu
-        dist = max(0.0, float(np.abs(lam_g).max(initial=0.0) - radius)) if radius > 0 else float(
-            np.abs(lam_g).max(initial=0.0)
-        )
-        return float(gap), dist
+        gap += radius * np.abs(ax_g).sum()
+        return float(gap), max(0.0, float(np.abs(lam_g).max(initial=0.0) - radius))
     # tvclsq: the dual support function is bounded; the primal l1-ball
     # indicator becomes a constraint distance
     radius = problem.nu * problem.gamma
-    gap = data_part + radius * np.abs(lam_g).max(initial=0.0)
-    dist = max(0.0, float(np.abs(ax_g).sum() - radius))
-    return float(gap), dist
+    gap += radius * np.abs(lam_g).max(initial=0.0)
+    return float(gap), max(0.0, float(np.abs(ax_g).sum() - radius))
 
 
 def _fit_metrics(x, resid, grad, reference, active) -> dict:
@@ -237,7 +232,8 @@ def make_prox(problem: ProblemSpec) -> ProxFn:
     hint) to the updated dual and the l1-ball threshold beta (zero when
     the problem has no l1-ball prox).  The hint, a nearby threshold such
     as the previous step's beta, only speeds up the l1-ball threshold
-    search; the other problems ignore it."""
+    search; the other problems ignore it.  Only lsq takes a
+    per-component sigma."""
     if problem.kind == "lsq":
 
         def prox_lsq(v, sigma, hint=0.0):
@@ -246,32 +242,22 @@ def make_prox(problem: ProblemSpec) -> ProxFn:
         return prox_lsq
 
     m_s = problem.x_map.range_dim
+    l1_ball = problem.kind == "tvclsq"
+    # tvlsq clips at beta/nu; tvclsq projects onto the l1 ball of radius
+    # nu*gamma*sigma and, by Moreau, clips at the projection's threshold
+    radius = problem.nu * problem.gamma if l1_ball else problem.beta / problem.nu
 
-    if problem.kind == "tvlsq":
-        radius = problem.beta / problem.nu
-
-        def prox_tvlsq(v, sigma, hint=0.0):
-            sigma_s = sigma[:m_s] if np.ndim(sigma) else sigma
-            out = np.empty_like(v)
-            out[:m_s] = prox_lsq_conjugate(v[:m_s], sigma_s, problem.g)
-            if radius > 0:
-                out[m_s:] = clip_linf(v[m_s:], radius)
-            else:
-                out[m_s:] = 0.0
-            return out, 0.0
-
-        return prox_tvlsq
-
-    def prox_tvclsq(v, sigma, hint=0.0):
-        if np.ndim(sigma):
-            raise ValueError("the l1-ball dual prox needs a scalar sigma")
+    def prox_tv(v, sigma, hint=0.0):
         out = np.empty_like(v)
         out[:m_s] = prox_lsq_conjugate(v[:m_s], sigma, problem.g)
-        res = prox_tvc_conjugate(v[m_s:], sigma, problem.nu * problem.gamma * sigma, hint)
-        out[m_s:] = res.value
-        return out, res.aux
+        if l1_ball:
+            res = prox_tvc_conjugate(v[m_s:], radius * sigma, hint)
+            out[m_s:] = res.value
+            return out, res.aux
+        out[m_s:] = clip_linf(v[m_s:], radius) if radius > 0 else 0.0
+        return out, 0.0
 
-    return prox_tvclsq
+    return prox_tv
 
 
 def _advance(
@@ -387,6 +373,8 @@ def run_cppd(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if problem.kind != "lsq" and np.ndim(plan.sigma):
+        raise ValueError("the TV dual prox needs a scalar sigma")
     a_map = problem.operator()
     prox = make_prox(problem)
     inv_sigma = plan.sigma_reciprocal()

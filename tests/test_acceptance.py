@@ -181,7 +181,7 @@ def test_04_prox_oracles():
         lam = rng.standard_normal(12)
         sigma = float(rng.uniform(0.2, 5.0))
         radius = float(rng.uniform(0.1, 3.0))
-        left = prox_tvc_conjugate(lam, sigma, radius * sigma).value
+        left = prox_tvc_conjugate(lam, radius * sigma).value
         right = sigma * l1_project_by_sort(lam / sigma, radius)[0]
         worst = max(worst, float(np.max(np.abs(left + right - lam))))
     assert worst <= 2e-10

@@ -146,12 +146,24 @@ def test_apply_overrides_last_wins():
         (dict(plan="block"), "unknown plan"),
         (dict(solver="gd", problem="tvlsq"), "only handles the lsq problem"),
         (dict(solver="cgls", problem="tvclsq"), "only handles the lsq problem"),
-        (dict(plan="diagonal", problem="tvclsq"), "scalar sigma"),
+        (dict(plan="diagonal", problem="tvclsq"), "plan = diagonal serves only lsq"),
         (dict(k_eigs=0), "k_eigs"),
         (dict(gamma="huh"), "number or 'phantom-tv'"),
         (dict(gamma="-1.0", problem="tvclsq"), "gamma must be positive"),
         (dict(nx=1, problem="tvlsq"), "nx >= 2"),
         (dict(nx=1, problem="tvclsq"), "nx >= 2"),
+        (dict(plan="diagonal", problem="tvlsq"), "plan = diagonal serves only lsq"),
+        (dict(nx=0), "nx must be >= 1"),
+        # NaN and infinity pass range checks written as comparisons
+        (dict(arc=float("inf")), "arc must be finite"),
+        (dict(side_cm=float("inf")), "side_cm must be finite"),
+        (dict(side_cm=float("nan")), "side_cm must be finite"),
+        (dict(blur_width=float("inf"), plan="lowrank"), "blur_width must be finite"),
+        (dict(rho=float("inf")), "rho must be finite"),
+        (dict(alpha=float("nan"), solver="gd"), "alpha must be finite"),
+        (dict(beta=float("nan"), problem="tvlsq"), "beta must be finite"),
+        (dict(gamma="inf", problem="tvclsq"), "gamma must be finite"),
+        (dict(gamma="nan"), "gamma must be finite"),
     ],
 )
 def test_validate_rejects(updates, match):
@@ -624,6 +636,8 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         ("run", ("n_views=-3",), [], "n_views must be nonnegative"),
         ("run", ("n_bins=-1",), [], "n_bins must be nonnegative"),
         ("sweep", ("arc=-0.5",), ["--param", "rho", "--values", "0.5,1"], "arc must be nonnegative"),
+        ("run", ("arc=inf",), [], "arc must be finite, got inf"),
+        ("run", ("nx=0",), [], "nx must be >= 1"),
     ],
     ids=[
         "sweep-rho-abc",
@@ -644,6 +658,8 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         "n_views-negative",
         "n_bins-negative",
         "sweep-arc-negative",
+        "arc-inf",
+        "nx-0",
     ],
 )
 def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings, extra, message):
@@ -655,6 +671,53 @@ def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings,
     assert err.startswith("config error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_geometry_too_large_for_memory_exit_code(tmp_path, capsys):
+    # numpy refuses the 5.87 PiB of the system matrix's CSR arrays at
+    # once, so nothing is allocated
+    args = ["run", "-o", str(tmp_path / "out")]
+    for pair in ("n_views=100000000000", "k_max=2"):
+        args += ["--set", pair]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert all(key in err for key in ("nx", "n_views", "n_bins"))
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+COMBINATION_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=5", "k_eigs=2")
+
+
+@pytest.mark.parametrize("solver_name", ["cppd", "gd", "cgls"])
+@pytest.mark.parametrize("plan", ["scalar", "diagonal", "lowrank"])
+@pytest.mark.parametrize("problem", ["lsq", "tvlsq", "tvclsq"])
+def test_main_runs_every_combination_validate_accepts(
+    tmp_path, capsys, problem, plan, solver_name
+):
+    # a config that passes validate must run; one it rejects is a
+    # one-line config error
+    settings = COMBINATION_RUN + (
+        f"problem={problem}",
+        f"plan={plan}",
+        f"solver={solver_name}",
+        f"cache_dir={tmp_path / 'cache'}",
+    )
+    try:
+        apply_overrides(ExperimentConfig(), list(settings)).validate()
+        accepted = True
+    except ConfigError:
+        accepted = False
+    args = ["run", "-o", str(tmp_path / "out")]
+    for pair in settings:
+        args += ["--set", pair]
+    code = cli.main(args)
+    err = capsys.readouterr().err
+    if accepted:
+        assert code == 0, err
+    else:
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -709,12 +772,12 @@ def test_tvclsq_run_bytes_do_not_depend_on_the_threshold_hint(tmp_path, monkeypa
     exact = solver.prox_tvc_conjugate
     hints = []
 
-    def hinted(lam_g, sigma, radius, hint=0.0):
+    def hinted(lam_g, radius, hint=0.0):
         hints.append(hint)
-        return exact(lam_g, sigma, radius, hint)
+        return exact(lam_g, radius, hint)
 
-    def cold(lam_g, sigma, radius, hint=0.0):
-        return exact(lam_g, sigma, radius)
+    def cold(lam_g, radius, hint=0.0):
+        return exact(lam_g, radius)
 
     written = {}
     for name, prox in (("hinted", hinted), ("cold", cold)):

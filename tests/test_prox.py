@@ -190,7 +190,7 @@ def test_l1_projection_edge_cases_match_sort_oracle(name):
             assert got.aux == pytest.approx(beta, rel=0, abs=1e-12)
             assert got.aux >= 0.0
             assert np.abs(got.value).sum() <= r + 1e-15 * np.abs(v).sum()
-        dual = prox_tvc_conjugate(v, 1.0, r)
+        dual = prox_tvc_conjugate(v, r)
     assert dual.aux == project_l1_ball(v, r).aux
     assert np.array_equal(dual.value, np.clip(v, -dual.aux, dual.aux))
 
@@ -225,7 +225,7 @@ def test_l1_projection_kkt_property(v, frac):
     rounding = 4 * v.size * (fin.eps * norm + fin.smallest_subnormal)
     assert abs(np.abs(res.value).sum() - r) <= rounding
     # the Moreau form of the dual prox is the clip to [-beta, beta]
-    dual = prox_tvc_conjugate(v, 1.0, r)
+    dual = prox_tvc_conjugate(v, r)
     assert dual.aux == beta
     assert np.array_equal(dual.value, np.clip(v, -beta, beta))
 
@@ -262,7 +262,7 @@ def test_l1_threshold_is_exact_for_every_hint(seed, kind, share):
             beta = _l1_threshold(a, total, r, hint)
             assert abs(beta - b_star) <= tol
             assert np.linalg.norm(shrink(v, beta) - want.value) <= tol
-            dual = prox_tvc_conjugate(v, 1.0, r, hint)
+            dual = prox_tvc_conjugate(v, r, hint)
             assert dual.aux == beta
             assert np.linalg.norm(dual.value - (v - want.value)) <= tol
 
@@ -298,9 +298,9 @@ def test_l1_projection_input_validation():
     with pytest.raises(ValueError):
         project_l1_ball(np.ones(2), 0.0)
     with pytest.raises(ValueError):
-        prox_tvc_conjugate(np.array([np.nan, 1.0]), 1.0, 1.0)
+        prox_tvc_conjugate(np.array([np.nan, 1.0]), 1.0)
     with pytest.raises(ValueError):
-        prox_tvc_conjugate(np.array([np.inf, 1.0]), 1.0, 1.0)
+        prox_tvc_conjugate(np.array([np.inf, 1.0]), 1.0)
 
 
 @given(finite_vectors, st.floats(0.05, 20))
@@ -312,13 +312,13 @@ def test_l1_projection_never_grows_norm(v, r):
 
 
 def test_tvc_conjugate_zero_branch():
-    out = prox_tvc_conjugate(np.array([0.4, -0.5]), 1.0, 1.0)
+    out = prox_tvc_conjugate(np.array([0.4, -0.5]), 1.0)
     assert np.array_equal(out.value, np.zeros(2))
     assert out.aux == 0.0
 
 
 def test_tvc_conjugate_pinned_case():
-    out = prox_tvc_conjugate(np.array([3.0, 0.0]), 1.0, 1.0)
+    out = prox_tvc_conjugate(np.array([3.0, 0.0]), 1.0)
     assert np.allclose(out.value, [2.0, 0.0], atol=1e-9)
 
 
@@ -329,7 +329,7 @@ def test_tvc_conjugate_moreau_identity():
         sigma = float(rng.uniform(0.2, 5))
         radius = float(rng.uniform(0.1, 3))
         tol = default_l1_tol(lam)
-        left = prox_tvc_conjugate(lam, sigma, radius * sigma).value
+        left = prox_tvc_conjugate(lam, radius * sigma).value
         # prox of the scaled indicator is projection onto the gamma-ball
         right = sigma * l1_project_by_sort(lam / sigma, radius)[0]
         assert np.max(np.abs(left + right - lam)) <= 2 * tol
@@ -347,8 +347,8 @@ def test_prox_maps_are_firmly_nonexpansive():
             (shrink(u, 0.4), shrink(v, 0.4)),
             (project_l1_ball(u, 2.0).value, project_l1_ball(v, 2.0).value),
             (
-                prox_tvc_conjugate(u, 1.3, 1.3 * 1.1).value,
-                prox_tvc_conjugate(v, 1.3, 1.3 * 1.1).value,
+                prox_tvc_conjugate(u, 1.3 * 1.1).value,
+                prox_tvc_conjugate(v, 1.3 * 1.1).value,
             ),
         ]
         for pu, pv in pairs:

@@ -415,13 +415,6 @@ def test_make_prox_tvlsq_blocks(tiny, rng):
     out, _ = prox(v, 0.5)
     assert np.allclose(out[:m_s], (v[:m_s] - 0.5 * spec.g) / 1.5, rtol=1e-14)
     assert np.array_equal(out[m_s:], np.clip(v[m_s:], -beta / nu, beta / nu))
-    # vector sigma: only the data block uses it
-    sigma_vec = np.abs(rng.standard_normal(m)) + 0.1
-    out_vec, _ = prox(v, sigma_vec)
-    assert np.allclose(
-        out_vec[:m_s], (v[:m_s] - sigma_vec[:m_s] * spec.g) / (1 + sigma_vec[:m_s])
-    )
-    assert np.array_equal(out_vec[m_s:], out[m_s:])
 
 
 def test_make_prox_tvlsq_zero_beta_kills_gradient_dual(tiny, rng):
@@ -459,8 +452,24 @@ def test_make_prox_tvclsq_matches_sorted_projection(tiny, rng):
     want = v[m_s:] - project_l1_ball_sorted(v[m_s:], nu * gamma * sigma).value
     assert np.max(np.abs(out[m_s:] - want)) <= 1e-8
     assert beta_now >= 0.0
+
+
+@pytest.mark.parametrize("kind", ["tvlsq", "tvclsq"])
+def test_run_cppd_rejects_per_component_sigma_on_tv(tiny, kind):
+    # the TV dual prox clips the gradient block with one scalar sigma
+    spec = ProblemSpec(
+        kind=kind,
+        x_map=tiny["x_map"],
+        g=tiny["g"],
+        d_map=tiny["d_map"],
+        beta=0.3,
+        gamma=0.8,
+        nu=tv_weight(tiny),
+    )
+    a_map = spec.operator()
+    plan = StepPlan(np.ones(a_map.range_dim), 1.0)
     with pytest.raises(ValueError, match="scalar sigma"):
-        prox(v, np.ones(v.size))
+        run_cppd(spec, plan, k_max=1)
 
 
 # -------------------------------------------------------- divergence guard
