@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +34,7 @@ from .config import (
     load_config,
 )
 from .ct import (
+    FOV_CM,
     FanBeamGeometry,
     ImageGrid,
     Sinogram,
@@ -84,10 +85,7 @@ def _stage(name: str):
 
 
 def build_grid(cfg: ExperimentConfig) -> ImageGrid:
-    try:
-        return ImageGrid(cfg.nx, cfg.nx, cfg.side_cm)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ImageGrid(cfg.nx, cfg.nx, FOV_CM)
 
 
 def build_geom(cfg: ExperimentConfig) -> FanBeamGeometry:
@@ -149,7 +147,11 @@ def cached_eigenpairs(cfg: ExperimentConfig, grid, geom, a_map) -> tuple[EigenSe
         eigs, sigma0, stored = load_eigenset(path)
         if stored == key:
             return eigs, sigma0
-    eigs = leading_eigenpairs(a_map, cfg.k_eigs, seed=cfg.seed)
+    try:
+        eigs = leading_eigenpairs(a_map, cfg.k_eigs, seed=cfg.seed)
+    except RuntimeError as exc:
+        # the Lanczos step cap: more pairs need more steps
+        raise RuntimeError(f"{exc}: lower k_eigs (now {cfg.k_eigs})") from exc
     if cfg.blur_width > 0:
         eigs = smooth_eigenset(eigs, gaussian_smooth(grid, cfg.blur_width))
     sigma0 = lowrank_steps(a_map, eigs, seed=cfg.seed).sigma
@@ -241,12 +243,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 _SWEEP_FIELDS = {"rho": ("rho", float), "K": ("k_eigs", int)}
 
 
-def _sweep_one(cfg: ExperimentConfig) -> dict:
-    """Pool entry point, pickled by name: it stays picklable when
-    `run_experiment` is wrapped (by a profiler, say)."""
-    return run_experiment(cfg)
-
-
 def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
     """Run one experiment per value; a failed value is recorded, not
     fatal, but a ConfigError that every value's config raises is."""
@@ -291,33 +287,17 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
 
     columns = ("final_image_rmse", "final_r_sigma", "final_r_tau")
     rows = []
-    if cfg.workers > 1:
-        # imported here: only parallel sweeps load the process pool
-        from concurrent.futures import ProcessPoolExecutor, wait
-
-        pool_cm = ProcessPoolExecutor(cfg.workers)
-    else:
-        pool_cm = nullcontext()
-    with pool_cm as pool:
-        # with a pool each job is a future; serially a job is the config,
-        # run when its turn comes
-        jobs = [sub for _, sub in runs]
-        if pool:
-            first = pool.submit(_sweep_one, jobs[0])
-            # the values of a rho sweep share one low-rank plan: the first
-            # computes and caches it before the others start and read it
-            if cfg.plan == "lowrank" and parameter == "rho":
-                wait([first])
-            jobs = [first] + [pool.submit(_sweep_one, sub) for sub in jobs[1:]]
-        for (value, _), job in zip(runs, jobs):
-            try:
-                res = job.result() if pool else run_experiment(job)
-                status = "ok"
-            except Exception as exc:
-                print(f"sweep {parameter}={value} failed: {exc}", file=sys.stderr)
-                res = dict.fromkeys(columns, np.nan)
-                status = type(exc).__name__
-            rows.append([value] + [res[key] for key in columns] + [status])
+    # a low-rank rho sweep computes its plan on the first value and
+    # reads it from the eigcache on the others
+    for value, sub in runs:
+        try:
+            res = run_experiment(sub)
+            status = "ok"
+        except Exception as exc:
+            print(f"sweep {parameter}={value} failed: {exc}", file=sys.stderr)
+            res = dict.fromkeys(columns, np.nan)
+            status = type(exc).__name__
+        rows.append([value] + [res[key] for key in columns] + [status])
 
     summary = parent / "summary.csv"
     write_csv(summary, ("value",) + columns + ("status",), rows)

@@ -5,7 +5,9 @@ the same format is echoed back as the run manifest (plus a `version`
 line, which the parser accepts and ignores), so any manifest can be
 replayed as a config.  The parser also ignores the keys of removed
 knobs (the bisection l1-ball prox tolerance, the power-method iteration
-count), so manifests that carry them still replay.
+count, the sweep process count), so manifests that carry them still
+replay.  The image grid is fixed at the presets' field of view, so a
+`side_cm` line replays only at that value.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+from .ct import FOV_CM
 
 
 class ConfigError(ValueError):
@@ -43,7 +47,6 @@ class ExperimentConfig:
     """
 
     nx: int = 64
-    side_cm: float = 18.0
     geometry: str = "desk-full"
     n_views: int = 0
     n_bins: int = 0
@@ -61,7 +64,6 @@ class ExperimentConfig:
     record_stride: int = 1
     seed: int = 7
     validate_prox: bool = False
-    workers: int = 1
     outdir: str = "results/run"
     cache_dir: str = "eigcache"
 
@@ -84,8 +86,6 @@ class ExperimentConfig:
             raise ConfigError("k_max must be >= 1")
         if self.record_stride < 1:
             raise ConfigError("record_stride must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # NaN fails these tests too; 0 keeps the preset's value
@@ -112,15 +112,15 @@ class ExperimentConfig:
             raise ConfigError(f"k_eigs must be in [1, nx*nx = {self.nx * self.nx}]")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
-        if self.blur_width < 0:
-            raise ConfigError("blur_width must be nonnegative")
+        if not 0 <= self.blur_width <= self.nx:
+            raise ConfigError(f"blur_width must be in [0, nx = {self.nx}] pixels")
         if self.problem == "tvclsq" and "gamma" in floats and not floats["gamma"] > 0:
             raise ConfigError("gamma must be positive")
         return self
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_IGNORED_KEYS = ("version", "l1_tol", "power_iters")
+_IGNORED_KEYS = ("version", "l1_tol", "power_iters", "workers")
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -135,6 +135,19 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in _IGNORED_KEYS:
+            continue
+        if key == "side_cm":
+            # a manifest written at another grid size would quietly
+            # replay as a different run
+            try:
+                replays = float(value) == FOV_CM
+            except ValueError:
+                replays = False
+            if not replays:
+                raise ConfigError(
+                    f"line {lineno}: side_cm is fixed at {FOV_CM!r} cm, the presets' "
+                    f"field of view, got {value!r}"
+                )
             continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")

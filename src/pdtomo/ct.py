@@ -110,6 +110,11 @@ class Sinogram:
         return self.values.reshape(self.geometry.n_views, self.geometry.n_bins)
 
 
+# Diameter (cm) of the FOV every preset's fan covers; the CLI's image
+# grid has this side, so the FOV is the grid's inscribed circle.
+FOV_CM = 18.0
+
+
 def detector_length_for_fov(
     source_to_center: float, source_to_detector: float, fov_diameter: float
 ) -> float:
@@ -125,7 +130,7 @@ def _scan_preset(n_views: int, arc: float, n_bins: int) -> dict:
         n_bins=n_bins,
         source_to_center=36.0,
         source_to_detector=72.0,
-        detector_length=detector_length_for_fov(36.0, 72.0, 18.0),
+        detector_length=detector_length_for_fov(36.0, 72.0, FOV_CM),
     )
 
 

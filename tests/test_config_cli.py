@@ -1,7 +1,6 @@
 """Config parsing, validation, and the batch CLI pipeline."""
 
 import csv
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -156,8 +155,9 @@ def test_apply_overrides_last_wins():
         (dict(nx=0), "nx must be >= 1"),
         # NaN and infinity pass range checks written as comparisons
         (dict(arc=float("inf")), "arc must be finite"),
-        (dict(side_cm=float("inf")), "side_cm must be finite"),
-        (dict(side_cm=float("nan")), "side_cm must be finite"),
+        # a Gaussian wider than the image; at 1e300 np.arange cannot size its taps
+        (dict(blur_width=64.5), "blur_width must be in"),
+        (dict(blur_width=1e300, plan="lowrank", nx=16), "blur_width must be in"),
         (dict(blur_width=float("inf"), plan="lowrank"), "blur_width must be finite"),
         (dict(rho=float("inf")), "rho must be finite"),
         (dict(alpha=float("nan"), solver="gd"), "alpha must be finite"),
@@ -222,6 +222,28 @@ def test_manifest_replays_byte_identical(finished_run, tmp_path):
         ).read_bytes()
 
 
+def test_manifest_with_removed_knob_lines_replays_byte_identical(finished_run, tmp_path):
+    # manifests written before the sweep process count and the grid side
+    # left the config carry both keys, and older ones l1_tol and power_iters
+    cfg, _, outdir = finished_run
+    lines = config_to_text(cfg, version="0.1.0").splitlines()
+    lines.insert(lines.index(f"nx = {cfg.nx}") + 1, "side_cm = 18.0")
+    lines.insert(lines.index(f"outdir = {cfg.outdir}"), "workers = 1")
+    old_manifest = "\n".join(lines + ["l1_tol = 1e-08", "power_iters = 100"]) + "\n"
+    assert len(lines) == 1 + 22  # the version line and that format's 22 keys
+    assert parse_config_text(old_manifest) == cfg
+    # results never depended on the process count
+    assert parse_config_text(old_manifest.replace("workers = 1", "workers = 4")) == cfg
+    (tmp_path / "manifest").write_text(old_manifest)
+    replay = tmp_path / "replay"
+    assert cli.main(["run", "-c", str(tmp_path / "manifest"), "-o", str(replay)]) == 0
+    for name in ("convergence.csv", "final_image.raw", "final_image.pgm", "data.sng"):
+        assert (replay / name).read_bytes() == (outdir / name).read_bytes()
+    assert (replay / "manifest").read_text() == config_to_text(
+        replace(cfg, outdir=str(replay)), version="0.1.0"
+    )
+
+
 def test_constrained_run_records_constraint_radius(tmp_path):
     cfg = tiny_cfg(tmp_path / "tvc", problem="tvclsq", k_max=20, record_stride=20)
     cli.run_experiment(cfg)
@@ -249,50 +271,6 @@ def test_sweep_summary_and_failed_value(tmp_path, capsys):
     # summary cells repeat the last recorded image rmse of each sub-run
     sub = read_csv(tmp_path / "sw" / "rho_0.5" / "convergence.csv")
     assert rows[1][1] == sub[-1][3]
-
-
-def test_sweep_pool_matches_serial_bytewise(tmp_path, capsys):
-    outputs = {}
-    for workers in (1, 2):
-        cfg = tiny_cfg(tmp_path / f"w{workers}", workers=workers)
-        summary = cli.sweep(cfg, "rho", ["0.5", "2.0", "-1.0"])
-        assert "sweep rho=-1.0 failed" in capsys.readouterr().err
-        outputs[workers] = [summary.read_bytes()] + [
-            (tmp_path / f"w{workers}" / f"rho_{v}" / "convergence.csv").read_bytes()
-            for v in ("0.5", "2.0")
-        ]
-    assert outputs[2] == outputs[1]
-    assert read_csv(tmp_path / "w2" / "summary.csv")[3] == ["-1.0", "", "", "", "ConfigError"]
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the counting wrapper reaches pool workers only through fork",
-)
-def test_parallel_lowrank_sweep_computes_plan_once(tmp_path, monkeypatch):
-    # every process that computes the eigenpairs appends a line to the log
-    log = tmp_path / "eig.log"
-    compute = cli.leading_eigenpairs
-
-    def counted(*args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return compute(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "leading_eigenpairs", counted)
-    outputs = {}
-    for workers in (1, 2):
-        out = tmp_path / f"w{workers}"
-        cfg = tiny_cfg(out, plan="lowrank", k_eigs=3, k_max=20,
-                       cache_dir=str(out / "cache"), workers=workers)
-        log.write_text("")
-        summary = cli.sweep(cfg, "rho", ["0.5", "2.0", "1.0"])
-        assert len(log.read_text().split()) == 1
-        outputs[workers] = [summary.read_bytes()] + [
-            (out / f"rho_{v}" / "convergence.csv").read_bytes()
-            for v in ("0.5", "2.0", "1.0")
-        ]
-    assert outputs[2] == outputs[1]
 
 
 def test_sweep_over_rank_uses_lowrank_plans(tmp_path):
@@ -586,6 +564,38 @@ def test_rho_sweep_computes_the_lowrank_plan_once(tmp_path, monkeypatch):
     assert all(cell for r in rows[1:] for cell in r)
 
 
+def test_parallel_lowrank_sweep_computes_plan_once(tmp_path, monkeypatch):
+    # a config that still asks for worker processes sweeps in this one
+    # process: the eigenpairs are computed once, and the bytes match a
+    # config without the workers line
+    pids = []
+    compute = cli.leading_eigenpairs
+
+    def counted(*args, **kwargs):
+        pids.append(os.getpid())
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "leading_eigenpairs", counted)
+    outputs = {}
+    for workers in (None, 2):
+        out = tmp_path / f"w{workers}"
+        cfg = tiny_cfg(out, plan="lowrank", k_eigs=3, k_max=20, cache_dir=str(out / "cache"))
+        text = config_to_text(cfg, version="0.1.0")
+        if workers is not None:
+            text += f"workers = {workers}\n"
+        (tmp_path / f"w{workers}.cfg").write_text(text)
+        pids.clear()
+        args = ["sweep", "-c", str(tmp_path / f"w{workers}.cfg"),
+                "--param", "rho", "--values", "0.5,2.0,1.0"]
+        assert cli.main(args) == 0
+        assert pids == [os.getpid()]
+        outputs[workers] = [(out / "summary.csv").read_bytes()] + [
+            (out / f"rho_{v}" / "convergence.csv").read_bytes()
+            for v in ("0.5", "2.0", "1.0")
+        ]
+    assert outputs[2] == outputs[None]
+
+
 def test_main_lanczos_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
     # a step cap below what three pairs need runs out before the bound holds
     monkeypatch.setattr(spectral, "_MAX_STEPS", 4)
@@ -596,6 +606,20 @@ def test_main_lanczos_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: [plan] Lanczos") and "within 4 steps" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_main_lanczos_step_cap_names_k_eigs(tmp_path, monkeypatch, capsys):
+    # four pairs need more than eight steps; fewer pairs need fewer
+    monkeypatch.setattr(spectral, "_MAX_STEPS", 8)
+    args = ["run", "-o", str(tmp_path / "out")]
+    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_max=5", "plan=lowrank",
+                 "k_eigs=4", f"cache_dir={tmp_path / 'cache'}"):
+        args += ["--set", pair]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: [plan] Lanczos") and "within 8 steps" in err
+    assert err.rstrip().endswith("lower k_eigs (now 4)")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -629,8 +653,11 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         # config errors that no swept value fixes
         ("sweep", ("k_max=0",), ["--param", "rho", "--values", "1,2"], "k_max must be >= 1"),
         ("sweep", ("plan=lowrank",), ["--param", "K", "--values", "300,257"], "nx*nx = 256"),
-        ("run", ("workers=0",), [], "workers must be >= 1"),
-        ("sweep", ("workers=-1",), ["--param", "rho", "--values", "0.5,1"], "workers must be >= 1"),
+        ("run", ("plan=lowrank", "k_eigs=2", "blur_width=1e300"), [], "blur_width must be in [0, nx = 16]"),
+        # the grid is fixed at the presets' FOV; another side is another run
+        ("run", ("side_cm=24",), [], "side_cm is fixed at 18.0 cm"),
+        ("run", ("side_cm=1e308",), [], "side_cm is fixed at 18.0 cm"),
+        ("sweep", ("side_cm=abc",), ["--param", "rho", "--values", "0.5,1"], "side_cm is fixed"),
         ("run", ("seed=-1",), [], "seed must be >= 0"),
         # 0 keeps the preset's value; a negative one was silently ignored
         ("run", ("n_views=-3",), [], "n_views must be nonnegative"),
@@ -652,8 +679,10 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         "sweep-K-repeated",
         "sweep-k_max-0",
         "sweep-K-all-above-nx2",
-        "workers-0",
-        "sweep-workers-negative",
+        "blur-above-nx",
+        "side_cm-24",
+        "side_cm-1e308",
+        "sweep-side_cm-abc",
         "seed-negative",
         "n_views-negative",
         "n_bins-negative",
@@ -797,8 +826,8 @@ def test_tvclsq_run_bytes_do_not_depend_on_the_threshold_hint(tmp_path, monkeypa
 def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):
     # scipy.sparse.linalg pulls in scipy.linalg, several MB resident that
     # the numpy Lanczos engine does not need, low-rank plans included;
-    # scipy.ndimage serves only smoothed plans and the process pool only
-    # parallel sweeps
+    # scipy.ndimage serves only smoothed plans, and no run needs the
+    # process pool
     tv = ["--set", "problem=tvclsq", "-o", str(tmp_path / "tv")]
     lowrank = ["--set", "plan=lowrank", "--set", "k_eigs=3",
                "--set", f"cache_dir={tmp_path / 'cache'}", "-o", str(tmp_path / "lr")]
