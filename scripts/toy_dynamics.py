@@ -8,9 +8,7 @@ the numeric-vs-analytic conjugate tables.
 
 import argparse
 
-from pdtomo import cli
-
-DEMOS = ("fe-s0", "fe-s1", "be", "abe", "cppd1d", "perfect-pc", "lf-oracle")
+from pdtomo.cli import DEMOS, demo
 
 
 def main(argv=None) -> int:
@@ -18,7 +16,7 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--outdir", default="results/toy")
     args = parser.parse_args(argv)
     for name in DEMOS:
-        for path in cli.demo(name, f"{args.outdir}/{name}"):
+        for path in demo(name, f"{args.outdir}/{name}"):
             print(f"wrote {path}")
     return 0
 

@@ -10,7 +10,7 @@ Subcommands:
 
 Each run writes `convergence.csv`, `final_image.raw`, `final_image.pgm`,
 and a `manifest` that is itself a valid config reproducing the run.
-Exit codes: 0 success, 1 configuration error (a geometry too large for
+Exit codes: 0 success, 1 configuration error (an nx too large for
 memory included), 2 numerical failure.
 """
 
@@ -35,7 +35,6 @@ from .config import (
 )
 from .ct import (
     FOV_CM,
-    FanBeamGeometry,
     ImageGrid,
     Sinogram,
     build_geometry,
@@ -86,20 +85,6 @@ def _stage(name: str):
 
 def build_grid(cfg: ExperimentConfig) -> ImageGrid:
     return ImageGrid(cfg.nx, cfg.nx, FOV_CM)
-
-
-def build_geom(cfg: ExperimentConfig) -> FanBeamGeometry:
-    overrides = {}
-    if cfg.n_views > 0:
-        overrides["n_views"] = cfg.n_views
-    if cfg.n_bins > 0:
-        overrides["n_bins"] = cfg.n_bins
-    if cfg.arc > 0:
-        overrides["arc_length"] = cfg.arc
-    try:
-        return build_geometry(cfg.geometry, **overrides)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def assemble_problem(cfg: ExperimentConfig, grid, geom, phantom) -> ProblemSpec:
@@ -180,7 +165,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     outdir = ensure_dir(cfg.outdir)
     grid = build_grid(cfg)
-    geom = build_geom(cfg)
+    geom = build_geometry(cfg.geometry)
 
     with _stage("phantom"):
         ph = generate(grid, cfg.seed)
@@ -304,15 +289,40 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
     return summary
 
 
-def _write_trajectory_csv(path, traj):
-    rows = [
-        [k, float(np.ravel(x)[0]), float(np.ravel(lam)[0]), float(traj.radii[k])]
-        for k, (x, lam) in enumerate(traj.points)
-    ]
-    write_csv(path, ("iter", "x", "lambda", "radius"), rows)
+def _trajectory_csvs(out: Path, **trajs) -> list[Path]:
+    """Write each keyword's trajectory to `<keyword>.csv` under `out`."""
+    written = []
+    for stem, traj in trajs.items():
+        rows = [
+            [k, float(np.ravel(x)[0]), float(np.ravel(lam)[0]), float(traj.radii[k])]
+            for k, (x, lam) in enumerate(traj.points)
+        ]
+        written.append(write_csv(out / f"{stem}.csv", ("iter", "x", "lambda", "radius"), rows))
+    return written
 
 
-def _demo_lf_oracle(outdir: Path):
+def _demo_cppd1d(out: Path) -> list[Path]:
+    """Final magnitudes of the 1D quadratic iteration over a sigma grid."""
+    sigmas = toysaddle.log_sigma_grid()
+    written = []
+    for a in (0.01, 0.1, 1.0):
+        mags = toysaddle.sigma_sweep(a, sigmas, k_max=100)
+        path = out / f"cppd1d_a{a}.csv"
+        written.append(write_csv(path, ("sigma", "final_magnitude"), zip(sigmas, mags)))
+    return written
+
+
+def _demo_perfect_pc(out: Path) -> list[Path]:
+    """The perfectly preconditioned iteration at three step ratios."""
+    rows = []
+    for rho in (0.01, 1.0, 100.0):
+        traj = toysaddle.perfect_preconditioning([[1.5]], rho, [0.8], [-0.3])
+        for k, (u, lam) in enumerate(traj.points):
+            rows.append([rho, k, float(u[0]), float(lam[0]), float(traj.radii[k])])
+    return [write_csv(out / "perfect_pc.csv", ("rho", "iter", "u", "lambda", "radius"), rows)]
+
+
+def _demo_lf_oracle(out: Path) -> list[Path]:
     """Numeric conjugates of the four canonical 1D examples."""
     x = np.linspace(-5.0, 5.0, 2001)
     m = np.linspace(-4.0, 4.0, 1601)
@@ -323,61 +333,41 @@ def _demo_lf_oracle(outdir: Path):
         "lf_linear": (1.5 * x + 0.7, np.where(np.isclose(m, 1.5), -0.7, inf)),
         "lf_interval": (np.where(np.abs(x) <= 2.0, 0.0, inf), 2.0 * np.abs(m)),
     }
+    written = []
     for name, (fx, analytic) in cases.items():
         numeric = lf_transform_numeric(Grid1D(x, fx), m).values
         rows = zip(m, numeric, analytic)
-        write_csv(outdir / f"{name}.csv", ("m", "numeric", "analytic"), rows)
+        written.append(write_csv(out / f"{name}.csv", ("m", "numeric", "analytic"), rows))
+    return written
+
+
+# demo name -> writer of its CSV artifacts into an existing directory
+DEMOS = {
+    "fe-s0": lambda out: _trajectory_csvs(
+        out, fe_s0=toysaddle.forward_euler_s0(1.0, 0.0, 1.0, 12)
+    ),
+    "fe-s1": lambda out: _trajectory_csvs(
+        out, fe_s1=toysaddle.forward_euler_s1(1.0, 0.5, 0.25, 12)
+    ),
+    "be": lambda out: _trajectory_csvs(
+        out, be=toysaddle.backward_euler([[1.0]], 1.0, [1.0], [0.0], 12)
+    ),
+    "abe": lambda out: _trajectory_csvs(
+        out,
+        abe_twostep=toysaddle.abe_s0(1.3, -0.4, theta=1.0, a=1.0, sigma=0.7, k_max=4),
+        abe_periodic=toysaddle.abe_s0(1.0, 0.0, theta=0.0, a=1.0, sigma=0.7, k_max=13),
+    ),
+    "cppd1d": _demo_cppd1d,
+    "perfect-pc": _demo_perfect_pc,
+    "lf-oracle": _demo_lf_oracle,
+}
 
 
 def demo(name: str, outdir) -> list[Path]:
     """Write the CSV artifacts of one named demonstration."""
-    out = ensure_dir(outdir)
-    written: list[Path] = []
-
-    def emit(fname, traj):
-        path = out / fname
-        _write_trajectory_csv(path, traj)
-        written.append(path)
-
-    if name == "fe-s0":
-        emit("fe_s0.csv", toysaddle.forward_euler_s0(1.0, 0.0, 1.0, 12))
-    elif name == "fe-s1":
-        emit("fe_s1.csv", toysaddle.forward_euler_s1(1.0, 0.5, 0.25, 12))
-    elif name == "be":
-        emit("be.csv", toysaddle.backward_euler([[1.0]], 1.0, [1.0], [0.0], 12))
-    elif name == "abe":
-        emit(
-            "abe_twostep.csv",
-            toysaddle.abe_s0(1.3, -0.4, theta=1.0, a=1.0, sigma=0.7, k_max=4),
-        )
-        emit(
-            "abe_periodic.csv",
-            toysaddle.abe_s0(1.0, 0.0, theta=0.0, a=1.0, sigma=0.7, k_max=13),
-        )
-    elif name == "cppd1d":
-        sigmas = toysaddle.log_sigma_grid()
-        for a in (0.01, 0.1, 1.0):
-            mags = toysaddle.sigma_sweep(a, sigmas, k_max=100)
-            path = out / f"cppd1d_a{a}.csv"
-            write_csv(path, ("sigma", "final_magnitude"), zip(sigmas, mags))
-            written.append(path)
-    elif name == "perfect-pc":
-        path = out / "perfect_pc.csv"
-        rows = []
-        for rho in (0.01, 1.0, 100.0):
-            traj = toysaddle.perfect_preconditioning([[1.5]], rho, [0.8], [-0.3])
-            for k, (u, lam) in enumerate(traj.points):
-                rows.append([rho, k, float(u[0]), float(lam[0]), float(traj.radii[k])])
-        write_csv(path, ("rho", "iter", "u", "lambda", "radius"), rows)
-        written.append(path)
-    elif name == "lf-oracle":
-        _demo_lf_oracle(out)
-        written += sorted(out.glob("lf_*.csv"))
-    else:
-        raise ConfigError(
-            "unknown demo; choose from fe-s0, fe-s1, be, abe, cppd1d, perfect-pc, lf-oracle"
-        )
-    return written
+    if name not in DEMOS:
+        raise ConfigError(f"unknown demo {name!r}; choose from {', '.join(DEMOS)}")
+    return DEMOS[name](ensure_dir(outdir))
 
 
 def write_phantom(cfg: ExperimentConfig) -> dict:
@@ -403,7 +393,7 @@ def write_phantom(cfg: ExperimentConfig) -> dict:
 def compute_eigenpairs(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     grid = build_grid(cfg)
-    geom = build_geom(cfg)
+    geom = build_geometry(cfg.geometry)
     ph = generate(grid, cfg.seed)
     problem = assemble_problem(cfg, grid, geom, ph)
     eigs, sigma0 = cached_eigenpairs(cfg, grid, geom, problem.operator())
@@ -458,7 +448,7 @@ def main(argv=None) -> int:
     )
 
     p_demo = sub.add_parser("demo", help="closed-form dynamics demonstrations")
-    p_demo.add_argument("name")
+    p_demo.add_argument("name", choices=DEMOS)
     p_demo.add_argument("-o", "--outdir", default="results/demo")
 
     p_ph = sub.add_parser("phantom", help="write phantom images and TV value")
@@ -500,9 +490,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
-    # numpy refuses a huge geometry's system matrix at once, before allocating it
+    # numpy refuses a huge grid's arrays at once, before allocating them
     except MemoryError as exc:
-        print(f"config error: out of memory, reduce nx, n_views or n_bins ({exc})", file=sys.stderr)
+        print(f"config error: out of memory, reduce nx ({exc})", file=sys.stderr)
         return 1
     # ConfigError, a ValueError, is caught above; DivergenceError is a
     # RuntimeError and LinAlgError a ValueError

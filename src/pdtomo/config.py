@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .ct import FOV_CM
+from .ct import FOV_CM, GEOMETRY_PRESETS
 
 
 class ConfigError(ValueError):
@@ -41,16 +41,13 @@ class ExperimentConfig:
 
     `gamma` is either a number or the literal token "phantom-tv"
     (constraint set to the generated phantom's total variation).
-    `n_views`, `n_bins`, `arc` override the geometry preset when
-    positive; 0 keeps the preset's value.  `blur_width` > 0 smooths
-    low-rank eigenvectors with a Gaussian of that pixel width.
+    `geometry` names one of `ct.GEOMETRY_PRESETS`, which fixes the
+    scan.  `blur_width` > 0 smooths low-rank eigenvectors with a
+    Gaussian of that pixel width.
     """
 
     nx: int = 64
     geometry: str = "desk-full"
-    n_views: int = 0
-    n_bins: int = 0
-    arc: float = 0.0
     problem: str = "lsq"
     beta: float = 0.0
     gamma: str = "phantom-tv"
@@ -88,10 +85,10 @@ class ExperimentConfig:
             raise ConfigError("record_stride must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        # NaN fails these tests too; 0 keeps the preset's value
-        for name in ("n_views", "n_bins", "arc"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be nonnegative (0 uses the preset)")
+        if self.geometry not in GEOMETRY_PRESETS:
+            raise ConfigError(
+                f"unknown geometry {self.geometry!r}; choose from {', '.join(GEOMETRY_PRESETS)}"
+            )
         if not self.rho > 0:
             raise ConfigError("rho must be positive")
         if self.problem not in ("lsq", "tvlsq", "tvclsq"):
@@ -121,6 +118,9 @@ class ExperimentConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _IGNORED_KEYS = ("version", "l1_tol", "power_iters", "workers")
+# removed knobs and the one value of each that replays: any other value
+# would quietly replay as a different run
+_RETIRED_KEYS = {"side_cm": FOV_CM, "n_views": 0, "n_bins": 0, "arc": 0}
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -136,17 +136,16 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         key, value = (part.strip() for part in line.split("=", 1))
         if key in _IGNORED_KEYS:
             continue
-        if key == "side_cm":
-            # a manifest written at another grid size would quietly
-            # replay as a different run
+        if key in _RETIRED_KEYS:
+            fixed = _RETIRED_KEYS[key]
             try:
-                replays = float(value) == FOV_CM
+                replays = float(value) == fixed
             except ValueError:
                 replays = False
             if not replays:
                 raise ConfigError(
-                    f"line {lineno}: side_cm is fixed at {FOV_CM!r} cm, the presets' "
-                    f"field of view, got {value!r}"
+                    f"line {lineno}: {key} is fixed at {fixed!r} by the geometry "
+                    f"presets, got {value!r}"
                 )
             continue
         if key not in _FIELD_TYPES:

@@ -46,9 +46,9 @@ def geometry_digest(geom: FanBeamGeometry, grid: ImageGrid | None = None) -> byt
     return hashlib.sha256("|".join(parts).encode()).digest()[:16]
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows):
     """Write a CSV table: strings and ints via str, floats via repr, NaN
-    as an empty cell (infinities stay `inf`)."""
+    as an empty cell (infinities stay `inf`).  Returns `path`."""
 
     def cell(v) -> str:
         if isinstance(v, (str, int, np.integer)):
@@ -60,6 +60,7 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([cell(v) for v in row] for row in rows)
+    return path
 
 
 def save_raw(path, values: np.ndarray) -> None:

@@ -53,8 +53,9 @@ class DivergenceError(RuntimeError):
 @dataclass
 class SaddleState:
     """One primal-dual iterate: image x, dual lambda, extrapolated
-    image xbar, and the splitting variable y (None where `run_cppd`
-    skipped forming it, on steps it does not record).
+    image xbar, and the splitting variable y (None where it was not
+    formed: on steps `run_cppd` does not record, and in the GD and CGLS
+    results, whose xbar is x).
 
     `ax` = A x and `atl` = A^T lambda are carried from step to step
     (None: not yet computed); `beta` is the l1-ball dual prox threshold
@@ -421,6 +422,8 @@ def run_gd_lsq(
     """
     if problem.kind != "lsq":
         raise ValueError("run_gd_lsq expects an lsq problem")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     if not 0 < alpha < 2:
         warnings.warn(
             f"gradient-descent relaxation alpha={alpha} outside (0, 2)", RuntimeWarning
@@ -440,7 +443,7 @@ def run_gd_lsq(
         grad = x_map.adjoint(resid)
         if k % record_stride == 0 or k == k_max:
             record.append(k, **_fit_metrics(x, resid, grad, reference, problem.active))
-    state = SaddleState(x, np.zeros_like(g), x.copy(), x_map(x), k_max)
+    state = SaddleState(x, np.zeros_like(g), x, None, k_max)
     return state, record
 
 
@@ -495,5 +498,5 @@ def run_cgls(
             emit(k)
     if record.iters[-1] != done:
         emit(done)
-    state = SaddleState(x, np.zeros_like(g), x.copy(), operator(x), done)
+    state = SaddleState(x, np.zeros_like(g), x, None, done)
     return state, record

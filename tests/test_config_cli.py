@@ -30,9 +30,7 @@ def tiny_cfg(outdir, **kw):
     """A configuration small enough to solve in milliseconds."""
     base = dict(
         nx=16,
-        geometry="desk-full",
-        n_views=12,
-        n_bins=24,
+        geometry="desk-sparse",
         k_max=40,
         record_stride=10,
         seed=3,
@@ -154,7 +152,7 @@ def test_apply_overrides_last_wins():
         (dict(plan="diagonal", problem="tvlsq"), "plan = diagonal serves only lsq"),
         (dict(nx=0), "nx must be >= 1"),
         # NaN and infinity pass range checks written as comparisons
-        (dict(arc=float("inf")), "arc must be finite"),
+        (dict(geometry="bogus"), "unknown geometry"),
         # a Gaussian wider than the image; at 1e300 np.arange cannot size its taps
         (dict(blur_width=64.5), "blur_width must be in"),
         (dict(blur_width=1e300, plan="lowrank", nx=16), "blur_width must be in"),
@@ -223,11 +221,14 @@ def test_manifest_replays_byte_identical(finished_run, tmp_path):
 
 
 def test_manifest_with_removed_knob_lines_replays_byte_identical(finished_run, tmp_path):
-    # manifests written before the sweep process count and the grid side
-    # left the config carry both keys, and older ones l1_tol and power_iters
+    # manifests written before the scan overrides, the sweep process
+    # count and the grid side left the config carry their keys, and older
+    # ones l1_tol and power_iters
     cfg, _, outdir = finished_run
     lines = config_to_text(cfg, version="0.1.0").splitlines()
     lines.insert(lines.index(f"nx = {cfg.nx}") + 1, "side_cm = 18.0")
+    at = lines.index(f"geometry = {cfg.geometry}") + 1
+    lines[at:at] = ["n_views = 0", "n_bins = 0", "arc = 0.0"]
     lines.insert(lines.index(f"outdir = {cfg.outdir}"), "workers = 1")
     old_manifest = "\n".join(lines + ["l1_tol = 1e-08", "power_iters = 100"]) + "\n"
     assert len(lines) == 1 + 22  # the version line and that format's 22 keys
@@ -309,6 +310,19 @@ def test_demo_names_write_csv_artifacts(tmp_path):
         cli.demo("nope", tmp_path)
 
 
+def test_main_unknown_demo_is_config_error_before_any_directory(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert cli.main(["demo", "bogus", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'bogus'" in err
+    assert all(f"'{name}'" in err for name in cli.DEMOS)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="unknown demo 'bogus'; choose from fe-s0, fe-s1, be"):
+        cli.demo("bogus", out)
+    assert not out.exists()
+
+
 def test_demo_abe_csv_contents(tmp_path):
     cli.demo("abe", tmp_path)
     rows = read_csv(tmp_path / "abe_twostep.csv")
@@ -371,7 +385,7 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 def test_main_numerical_failure_exit_code(tmp_path, capsys):
     args = ["run", "--set", "solver=gd", "--set", "alpha=20", "-o", str(tmp_path)]
-    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_max=200"):
+    for pair in ("nx=16", "geometry=desk-sparse", "k_max=200"):
         args += ["--set", pair]
     with pytest.warns(RuntimeWarning):
         code = cli.main(args)
@@ -401,10 +415,11 @@ def test_main_tvclsq_radius_below_rounding_with_validate_prox(tmp_path, capsys):
 
 
 def test_main_rank_below_k_exits_numerical(tmp_path, monkeypatch, capsys):
-    # 2 views x 4 bins = 8 rays, so A^T A has rank < 10 = K
+    # at nx = 16 only the 208 pixels inside the FOV circle meet a ray,
+    # so A^T A has rank <= 208 < 209 = K
     monkeypatch.chdir(tmp_path)
-    args = ["eig", "--set", "nx=16", "--set", "n_views=2", "--set", "n_bins=4"]
-    assert cli.main(args + ["--set", "k_eigs=10"]) == 2
+    args = ["eig", "--set", "nx=16", "--set", "geometry=desk-sparse"]
+    assert cli.main(args + ["--set", "k_eigs=209"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "rank" in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -428,7 +443,7 @@ def test_main_phantom_command(tmp_path, capsys):
 
 def test_main_eig_command_and_cache(tmp_path, capsys):
     args = ["eig", "--set", f"cache_dir={tmp_path / 'cache'}"]
-    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_eigs=2"):
+    for pair in ("nx=16", "geometry=desk-sparse", "k_eigs=2"):
         args += ["--set", pair]
     assert cli.main(args) == 0
     out = capsys.readouterr().out
@@ -442,7 +457,7 @@ def test_main_eig_command_and_cache(tmp_path, capsys):
 def test_eigenpair_cache_is_actually_read(tmp_path):
     cfg = tiny_cfg(tmp_path / "out", k_eigs=1, cache_dir=str(tmp_path / "cache"))
     grid = cli.build_grid(cfg)
-    geom = cli.build_geom(cfg)
+    geom = build_geometry(cfg.geometry)
     from pdtomo.ct import projector
 
     a_map = projector(grid, geom)
@@ -458,7 +473,7 @@ def test_eigenpair_cache_is_actually_read(tmp_path):
 
 def test_eigcache_file_under_another_key_is_a_miss(tmp_path):
     cfg = tiny_cfg(tmp_path / "out", k_eigs=1, cache_dir=str(tmp_path / "cache"))
-    grid, geom = cli.build_grid(cfg), cli.build_geom(cfg)
+    grid, geom = cli.build_grid(cfg), build_geometry(cfg.geometry)
     from pdtomo.ct import projector
 
     a_map = projector(grid, geom)
@@ -491,7 +506,7 @@ def test_main_truncated_eigcache_file_exits_numerical(tmp_path, capsys):
 
 def test_eig_cache_key_names_the_engine(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path / "out", plan="lowrank", cache_dir=str(tmp_path / "cache"))
-    grid, geom = cli.build_grid(cfg), cli.build_geom(cfg)
+    grid, geom = cli.build_grid(cfg), build_geometry(cfg.geometry)
     path = cli._eig_cache_path(cfg, grid, geom)
     assert cli._eig_cache_path(replace(cfg, seed=4), grid, geom) != path
     # pairs from another engine land under another name and are never read
@@ -600,7 +615,7 @@ def test_main_lanczos_no_convergence_exit_code(tmp_path, monkeypatch, capsys):
     # a step cap below what three pairs need runs out before the bound holds
     monkeypatch.setattr(spectral, "_MAX_STEPS", 4)
     args = ["run", "-o", str(tmp_path / "out")]
-    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_max=5", "plan=lowrank",
+    for pair in ("nx=16", "geometry=desk-sparse", "k_max=5", "plan=lowrank",
                  "k_eigs=3", f"cache_dir={tmp_path / 'cache'}"):
         args += ["--set", pair]
     assert cli.main(args) == 2
@@ -613,7 +628,7 @@ def test_main_lanczos_step_cap_names_k_eigs(tmp_path, monkeypatch, capsys):
     # four pairs need more than eight steps; fewer pairs need fewer
     monkeypatch.setattr(spectral, "_MAX_STEPS", 8)
     args = ["run", "-o", str(tmp_path / "out")]
-    for pair in ("nx=16", "n_views=12", "n_bins=24", "k_max=5", "plan=lowrank",
+    for pair in ("nx=16", "geometry=desk-sparse", "k_max=5", "plan=lowrank",
                  "k_eigs=4", f"cache_dir={tmp_path / 'cache'}"):
         args += ["--set", pair]
     assert cli.main(args) == 2
@@ -633,7 +648,7 @@ def test_main_tv_problem_on_one_pixel_grid_is_config_error(tmp_path, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
+SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
 
 
 @pytest.mark.parametrize(
@@ -655,16 +670,22 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         ("sweep", ("plan=lowrank",), ["--param", "K", "--values", "300,257"], "nx*nx = 256"),
         ("run", ("plan=lowrank", "k_eigs=2", "blur_width=1e300"), [], "blur_width must be in [0, nx = 16]"),
         # the grid is fixed at the presets' FOV; another side is another run
-        ("run", ("side_cm=24",), [], "side_cm is fixed at 18.0 cm"),
-        ("run", ("side_cm=1e308",), [], "side_cm is fixed at 18.0 cm"),
+        ("run", ("side_cm=24",), [], "side_cm is fixed at 18.0 by the geometry presets"),
+        ("run", ("side_cm=1e308",), [], "side_cm is fixed at 18.0"),
         ("sweep", ("side_cm=abc",), ["--param", "rho", "--values", "0.5,1"], "side_cm is fixed"),
         ("run", ("seed=-1",), [], "seed must be >= 0"),
-        # 0 keeps the preset's value; a negative one was silently ignored
-        ("run", ("n_views=-3",), [], "n_views must be nonnegative"),
-        ("run", ("n_bins=-1",), [], "n_bins must be nonnegative"),
-        ("sweep", ("arc=-0.5",), ["--param", "rho", "--values", "0.5,1"], "arc must be nonnegative"),
-        ("run", ("arc=inf",), [], "arc must be finite, got inf"),
+        # the scan is the preset; manifests replay only at the 0 they wrote
+        ("run", ("n_views=-3",), [], "n_views is fixed at 0"),
+        ("run", ("n_bins=-1",), [], "n_bins is fixed at 0"),
+        ("sweep", ("arc=-0.5",), ["--param", "rho", "--values", "0.5,1"], "arc is fixed at 0"),
+        ("run", ("arc=inf",), [], "arc is fixed at 0 by the geometry presets, got 'inf'"),
         ("run", ("nx=0",), [], "nx must be >= 1"),
+        ("run", ("n_views=12",), [], "n_views is fixed at 0"),
+        ("sweep", ("n_bins=24",), ["--param", "rho", "--values", "0.5,1"], "n_bins is fixed at 0"),
+        ("run", ("arc=nan",), [], "arc is fixed at 0"),
+        # an unknown preset is caught before any directory is made
+        ("run", ("geometry=bogus",), [], "unknown geometry 'bogus'; choose from full, sparse"),
+        ("sweep", ("geometry=bogus",), ["--param", "rho", "--values", "0.5,1"], "unknown geometry"),
     ],
     ids=[
         "sweep-rho-abc",
@@ -689,6 +710,11 @@ SMALL_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=20", "record_stride=10")
         "sweep-arc-negative",
         "arc-inf",
         "nx-0",
+        "n_views-positive",
+        "sweep-n_bins-positive",
+        "arc-nan",
+        "geometry-unknown",
+        "sweep-geometry-unknown",
     ],
 )
 def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings, extra, message):
@@ -703,19 +729,18 @@ def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings,
 
 
 def test_main_geometry_too_large_for_memory_exit_code(tmp_path, capsys):
-    # numpy refuses the 5.87 PiB of the system matrix's CSR arrays at
+    # numpy refuses the 65.5 TiB pixel-center grid of the phantom at
     # once, so nothing is allocated
     args = ["run", "-o", str(tmp_path / "out")]
-    for pair in ("n_views=100000000000", "k_max=2"):
+    for pair in ("nx=3000000", "k_max=2"):
         args += ["--set", pair]
     assert cli.main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert all(key in err for key in ("nx", "n_views", "n_bins"))
+    assert err.startswith("config error: out of memory, reduce nx")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-COMBINATION_RUN = ("nx=16", "n_views=12", "n_bins=24", "k_max=5", "k_eigs=2")
+COMBINATION_RUN = ("nx=16", "geometry=desk-sparse", "k_max=5", "k_eigs=2")
 
 
 @pytest.mark.parametrize("solver_name", ["cppd", "gd", "cgls"])
@@ -834,7 +859,7 @@ def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):
     script = f"""
 import sys
 from pdtomo import cli
-common = ["--set", "nx=16", "--set", "n_views=12", "--set", "n_bins=24", "--set", "k_max=5"]
+common = ["--set", "nx=16", "--set", "geometry=desk-sparse", "--set", "k_max=5"]
 for extra in ({tv!r}, {lowrank!r}):
     assert cli.main(["run", *common, *extra]) == 0
 unused = ("scipy.sparse.linalg", "scipy.linalg", "scipy.ndimage", "concurrent.futures.process")

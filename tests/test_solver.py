@@ -603,6 +603,16 @@ def test_gd_warns_outside_stability_range(tiny):
         run_gd_lsq(spec, alpha=2.5, k_max=2, L=tiny["L"])
 
 
+def test_baselines_leave_the_dual_state_unformed(tiny):
+    # the caller reads only x: no final apply fills y, and xbar is x
+    spec = lsq_problem(tiny)
+    gd, _ = run_gd_lsq(spec, alpha=1.0, k_max=3, L=tiny["L"])
+    cgls, _ = run_cgls(spec.x_map, spec.g, k_max=3)
+    for state in (gd, cgls):
+        assert state.iteration == 3
+        assert state.y is None and state.xbar is state.x
+
+
 def test_gd_decreases_gradient_and_leaves_pd_columns_empty(tiny):
     spec = lsq_problem(tiny)
     _, record = run_gd_lsq(spec, alpha=1.0, k_max=200, L=tiny["L"])
@@ -668,6 +678,8 @@ def test_run_cppd_dispatch_and_kind_checks(tiny):
         )
     with pytest.raises(ValueError, match="k_max"):
         run_cppd(spec, plan, k_max=0)
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        run_gd_lsq(spec, 1.0, 0, L=tiny["L"])
 
 
 # -------------------------------------------------------- convergence facts
