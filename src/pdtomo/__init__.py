@@ -31,7 +31,6 @@ from .spectral import (
     leading_eigenpairs,
     lowrank_steps,
     scalar_steps,
-    smooth_eigenset,
     spectral_norm,
 )
 from .solver import (
@@ -74,7 +73,6 @@ __all__ = [
     "leading_eigenpairs",
     "lowrank_steps",
     "scalar_steps",
-    "smooth_eigenset",
     "spectral_norm",
     "ConvergenceRecord",
     "DivergenceError",

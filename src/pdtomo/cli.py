@@ -39,7 +39,6 @@ from .ct import (
     Sinogram,
     build_geometry,
     fov_active,
-    gaussian_smooth,
     gradient,
     gradient_norm,
     projector,
@@ -66,7 +65,6 @@ from .spectral import (
     diagonal_steps,
     lowrank_steps,
     scalar_steps,
-    smooth_eigenset,
     spectral_norm,
 )
 from . import spectral, toysaddle
@@ -74,13 +72,19 @@ from . import spectral, toysaddle
 
 @contextmanager
 def _stage(name: str):
-    """Prefix any escaping error with the pipeline stage that failed."""
+    """Tag any escaping error with the pipeline stage that failed, as an
+    attribute: OSError's and numpy's out-of-memory messages ignore `args`."""
     try:
         yield
     except Exception as exc:
-        head = str(exc.args[0]) if exc.args else ""
-        exc.args = (f"[{name}] {head}",) + tuple(exc.args[1:])
+        exc.stage = name
         raise
+
+
+def _describe(exc: Exception) -> str:
+    """The error's message, led by the stage that raised it if known."""
+    stage = getattr(exc, "stage", None)
+    return f"[{stage}] {exc}" if stage else str(exc)
 
 
 def build_grid(cfg: ExperimentConfig) -> ImageGrid:
@@ -109,7 +113,6 @@ def _eig_cache_key(cfg: ExperimentConfig, grid, geom) -> bytes:
             geometry_digest(geom, grid).hex(),
             cfg.problem,
             f"K{cfg.k_eigs}",
-            f"blur{cfg.blur_width!r}",
             EIG_ENGINE,
             f"seed{cfg.seed}",
             EIG_FORMAT,
@@ -120,7 +123,7 @@ def _eig_cache_key(cfg: ExperimentConfig, grid, geom) -> bytes:
 
 def _eig_cache_path(cfg: ExperimentConfig, grid, geom) -> Path:
     digest = _eig_cache_key(cfg, grid, geom).hex()[:20]
-    return Path(cfg.cache_dir) / f"eig_{digest}_K{cfg.k_eigs}_w{cfg.blur_width}.bin"
+    return Path(cfg.cache_dir) / f"eig_{digest}_K{cfg.k_eigs}.bin"
 
 
 def cached_eigenpairs(cfg: ExperimentConfig, grid, geom, a_map) -> tuple[EigenSet, float]:
@@ -137,8 +140,6 @@ def cached_eigenpairs(cfg: ExperimentConfig, grid, geom, a_map) -> tuple[EigenSe
     except RuntimeError as exc:
         # the Lanczos step cap: more pairs need more steps
         raise RuntimeError(f"{exc}: lower k_eigs (now {cfg.k_eigs})") from exc
-    if cfg.blur_width > 0:
-        eigs = smooth_eigenset(eigs, gaussian_smooth(grid, cfg.blur_width))
     sigma0 = lowrank_steps(a_map, eigs, seed=cfg.seed).sigma
     ensure_dir(path.parent)
     save_eigenset(path, eigs, sigma0, key)
@@ -163,7 +164,6 @@ def build_plan(cfg: ExperimentConfig, problem: ProblemSpec, grid, geom):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Full pipeline for one configuration; returns summary metrics."""
     cfg.validate()
-    outdir = ensure_dir(cfg.outdir)
     grid = build_grid(cfg)
     geom = build_geometry(cfg.geometry)
 
@@ -174,8 +174,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     with _stage("plan"):
         if cfg.solver == "cppd":
             plan = build_plan(cfg, problem, grid, geom)
-        else:
-            plan = None
+        elif cfg.solver == "gd":
+            L = spectral_norm(problem.x_map, cfg.seed)
     with _stage("solve"):
         if cfg.solver == "cppd":
             state, record = run_cppd(
@@ -187,7 +187,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 validate_prox=cfg.validate_prox,
             )
         elif cfg.solver == "gd":
-            L = spectral_norm(problem.x_map, cfg.seed)
             state, record = run_gd_lsq(
                 problem,
                 cfg.alpha,
@@ -205,7 +204,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 active=problem.active,
                 record_stride=cfg.record_stride,
             )
+    # the directory is made only once there is something to write, so a
+    # failed run leaves none behind
     with _stage("write"):
+        outdir = ensure_dir(cfg.outdir)
         record.to_csv(outdir / "convergence.csv")
         save_raw(outdir / "final_image.raw", state.x)
         save_pgm(
@@ -279,7 +281,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
             res = run_experiment(sub)
             status = "ok"
         except Exception as exc:
-            print(f"sweep {parameter}={value} failed: {exc}", file=sys.stderr)
+            print(f"sweep {parameter}={value} failed: {_describe(exc)}", file=sys.stderr)
             res = dict.fromkeys(columns, np.nan)
             status = type(exc).__name__
         rows.append([value] + [res[key] for key in columns] + [status])
@@ -372,9 +374,9 @@ def demo(name: str, outdir) -> list[Path]:
 
 def write_phantom(cfg: ExperimentConfig) -> dict:
     cfg.validate()
-    out = ensure_dir(cfg.outdir)
     grid = build_grid(cfg)
     ph = generate(grid, cfg.seed)
+    out = ensure_dir(cfg.outdir)
     shape = (grid.ny, grid.nx)
     save_raw(out / "phantom.raw", ph.image)
     save_pgm(out / "phantom.pgm", ph.image, shape, GRAY_WINDOWS["tissue"])
@@ -483,21 +485,21 @@ def main(argv=None) -> int:
             vals = ", ".join(f"{v:.6e}" for v in res["values"])
             print(f"eigenvalues [{vals}], sigma0 {res['sigma0']!r} cached at {res['path']}")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_describe(exc)}", file=sys.stderr)
         return 1
     # an I/O error, such as an output or cache path that cannot be
     # created or written; for a path error the message names the path
     except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
+        print(f"file error: {_describe(exc)}", file=sys.stderr)
         return 1
     # numpy refuses a huge grid's arrays at once, before allocating them
     except MemoryError as exc:
-        print(f"config error: out of memory, reduce nx ({exc})", file=sys.stderr)
+        print(f"config error: out of memory, reduce nx ({_describe(exc)})", file=sys.stderr)
         return 1
     # ConfigError, a ValueError, is caught above; DivergenceError is a
     # RuntimeError and LinAlgError a ValueError
     except (FloatingPointError, RuntimeError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return 2
     return 0
 

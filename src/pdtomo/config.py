@@ -6,8 +6,9 @@ line, which the parser accepts and ignores), so any manifest can be
 replayed as a config.  The parser also ignores the keys of removed
 knobs (the bisection l1-ball prox tolerance, the power-method iteration
 count, the sweep process count), so manifests that carry them still
-replay.  The image grid is fixed at the presets' field of view, so a
-`side_cm` line replays only at that value.
+replay.  Other removed knobs replay only at the value runs now use:
+`side_cm` at the presets' FOV, and `n_views`, `n_bins`, `arc` and
+`blur_width` at 0.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ class ExperimentConfig:
 
     `gamma` is either a number or the literal token "phantom-tv"
     (constraint set to the generated phantom's total variation).
-    `geometry` names one of `ct.GEOMETRY_PRESETS`, which fixes the
-    scan.  `blur_width` > 0 smooths low-rank eigenvectors with a
-    Gaussian of that pixel width.
+    `geometry` names one of `ct.GEOMETRY_PRESETS`, which fixes the scan.
     """
 
     nx: int = 64
@@ -54,7 +53,6 @@ class ExperimentConfig:
     solver: str = "cppd"
     plan: str = "scalar"
     k_eigs: int = 1
-    blur_width: float = 0.0
     rho: float = 1.0
     alpha: float = 1.0
     k_max: int = 1000
@@ -109,8 +107,6 @@ class ExperimentConfig:
             raise ConfigError(f"k_eigs must be in [1, nx*nx = {self.nx * self.nx}]")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
-        if not 0 <= self.blur_width <= self.nx:
-            raise ConfigError(f"blur_width must be in [0, nx = {self.nx}] pixels")
         if self.problem == "tvclsq" and "gamma" in floats and not floats["gamma"] > 0:
             raise ConfigError("gamma must be positive")
         return self
@@ -120,7 +116,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 _IGNORED_KEYS = ("version", "l1_tol", "power_iters", "workers")
 # removed knobs and the one value of each that replays: any other value
 # would quietly replay as a different run
-_RETIRED_KEYS = {"side_cm": FOV_CM, "n_views": 0, "n_bins": 0, "arc": 0}
+_RETIRED_KEYS = {"side_cm": FOV_CM, "n_views": 0, "n_bins": 0, "arc": 0, "blur_width": 0}
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -144,8 +140,8 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
                 replays = False
             if not replays:
                 raise ConfigError(
-                    f"line {lineno}: {key} is fixed at {fixed!r} by the geometry "
-                    f"presets, got {value!r}"
+                    f"line {lineno}: {key} is fixed at {fixed!r} since that knob "
+                    f"was removed, got {value!r}"
                 )
             continue
         if key not in _FIELD_TYPES:

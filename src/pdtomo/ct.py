@@ -342,7 +342,7 @@ def gaussian_kernel(width_pixels: float) -> np.ndarray:
 
 def gaussian_smooth(grid: ImageGrid, width_pixels: float) -> LinearMap:
     """Separable Gaussian blur with zero padding; symmetric (S = S^T)."""
-    # imported here: only smoothed low-rank plans load scipy.ndimage
+    # imported here: no run calls this, so no run loads scipy.ndimage
     from scipy.ndimage import convolve1d
 
     k = gaussian_kernel(width_pixels)

@@ -3,9 +3,9 @@
 One Lanczos engine serves every spectral quantity: the spectral norm,
 the leading eigenpairs of A^T A, and the sigma consistent with a
 matrix step T.  Also builds the truncated-inverse low-rank step matrix
-T from those eigenpairs (optionally spatially smoothed) and diagonal
-row/column-sum step matrices.  Every plan is built at step ratio
-rho = 1; `StepPlan.scaled` applies another rho.
+T from those eigenpairs and diagonal row/column-sum step matrices.
+Every plan is built at step ratio rho = 1; `StepPlan.scaled` applies
+another rho.
 """
 
 from __future__ import annotations
@@ -220,33 +220,6 @@ def build_lowrank_T(eigs: EigenSet) -> LinearMap:
         return out
 
     return LinearMap(eigs.n, eigs.n, apply_t, apply_t, label=f"T_rank{eigs.k}")
-
-
-def smooth_eigenset(eigs: EigenSet, smoother: LinearMap) -> EigenSet:
-    """Blur each eigenvector with S, then re-orthonormalize in order.
-
-    Eigenvalues are kept as computed.  Raises if a smoothed vector
-    collapses (norm below 1e-8 after orthogonalization).
-    """
-    if smoother.domain_dim != smoother.range_dim:
-        raise ValueError("smoother must be symmetric")
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal(smoother.domain_dim)
-    b = rng.standard_normal(smoother.range_dim)
-    sym_gap = abs(smoother(a) @ b - a @ smoother(b))
-    if sym_gap > 1e-8 * (np.linalg.norm(a) * np.linalg.norm(b)):
-        raise ValueError("smoother must be symmetric")
-
-    out = np.zeros_like(eigs.vectors)
-    for j in range(eigs.k):
-        w = smoother(eigs.vectors[j])
-        if j:
-            w = w - out[:j].T @ (out[:j] @ w)
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-8:
-            raise ValueError(f"smoothing collapsed eigenvector {j}")
-        out[j] = w / nrm
-    return EigenSet(out, eigs.values.copy())
 
 
 def diagonal_steps(map_: LinearMap) -> StepPlan:

@@ -153,10 +153,9 @@ def test_apply_overrides_last_wins():
         (dict(nx=0), "nx must be >= 1"),
         # NaN and infinity pass range checks written as comparisons
         (dict(geometry="bogus"), "unknown geometry"),
-        # a Gaussian wider than the image; at 1e300 np.arange cannot size its taps
-        (dict(blur_width=64.5), "blur_width must be in"),
-        (dict(blur_width=1e300, plan="lowrank", nx=16), "blur_width must be in"),
-        (dict(blur_width=float("inf"), plan="lowrank"), "blur_width must be finite"),
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(beta=-0.1, problem="tvlsq"), "beta must be nonnegative"),
+        (dict(nx=4, plan="lowrank", k_eigs=17), "k_eigs must be in"),
         (dict(rho=float("inf")), "rho must be finite"),
         (dict(alpha=float("nan"), solver="gd"), "alpha must be finite"),
         (dict(beta=float("nan"), problem="tvlsq"), "beta must be finite"),
@@ -221,14 +220,15 @@ def test_manifest_replays_byte_identical(finished_run, tmp_path):
 
 
 def test_manifest_with_removed_knob_lines_replays_byte_identical(finished_run, tmp_path):
-    # manifests written before the scan overrides, the sweep process
-    # count and the grid side left the config carry their keys, and older
-    # ones l1_tol and power_iters
+    # manifests written before eigenvector smoothing, the scan overrides,
+    # the sweep process count and the grid side left the config carry
+    # their keys, and older ones l1_tol and power_iters
     cfg, _, outdir = finished_run
     lines = config_to_text(cfg, version="0.1.0").splitlines()
     lines.insert(lines.index(f"nx = {cfg.nx}") + 1, "side_cm = 18.0")
     at = lines.index(f"geometry = {cfg.geometry}") + 1
     lines[at:at] = ["n_views = 0", "n_bins = 0", "arc = 0.0"]
+    lines.insert(lines.index(f"k_eigs = {cfg.k_eigs}") + 1, "blur_width = 0.0")
     lines.insert(lines.index(f"outdir = {cfg.outdir}"), "workers = 1")
     old_manifest = "\n".join(lines + ["l1_tol = 1e-08", "power_iters = 100"]) + "\n"
     assert len(lines) == 1 + 22  # the version line and that format's 22 keys
@@ -384,13 +384,15 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_numerical_failure_exit_code(tmp_path, capsys):
-    args = ["run", "--set", "solver=gd", "--set", "alpha=20", "-o", str(tmp_path)]
+    args = ["run", "--set", "solver=gd", "--set", "alpha=20", "-o", str(tmp_path / "out")]
     for pair in ("nx=16", "geometry=desk-sparse", "k_max=200"):
         args += ["--set", pair]
     with pytest.warns(RuntimeWarning):
         code = cli.main(args)
     assert code == 2
     assert capsys.readouterr().err.startswith("numerical failure:")
+    # a run that fails leaves no output directory behind
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_tvclsq_radius_below_rounding_with_validate_prox(tmp_path, capsys):
@@ -550,13 +552,6 @@ def test_lowrank_cache_hit_repeats_the_miss_bitwise(tmp_path, monkeypatch):
     assert hit == miss
 
 
-def test_smoothed_lowrank_cache_hit_repeats_the_miss_bitwise(tmp_path):
-    cold = lowrank_artifacts(tmp_path, "cold", "cache", blur_width=1.5)
-    warm = lowrank_artifacts(tmp_path, "warm", "cache", blur_width=1.5)
-    assert warm == cold
-    assert cold != lowrank_artifacts(tmp_path, "sharp", "cache")
-
-
 def test_rho_sweep_computes_the_lowrank_plan_once(tmp_path, monkeypatch):
     calls = {"eig": 0, "sigma": 0}
     eig, sigma = cli.leading_eigenpairs, spectral.sigma_for_T
@@ -658,6 +653,7 @@ SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
         ("sweep", (), ["--param", "K", "--values", "2.5"], "'2.5' as int"),
         ("run", ("problem=tvlsq", "beta=-0.1"), [], "beta must be nonnegative"),
         ("run", ("nx=4", "plan=lowrank", "k_eigs=50"), [], "k_eigs must be in [1, nx*nx = 16]"),
+        # eigenvector smoothing is gone; manifests replay only at its 0
         ("run", ("plan=lowrank", "k_eigs=2", "blur_width=-1.0"), [], "blur_width"),
         ("sweep", (), ["--param", "K", "--values", "1,5"], "K sweep needs solver = cppd and"),
         ("sweep", ("plan=diagonal",), ["--param", "K", "--values", "1,5"], "plan = lowrank"),
@@ -668,9 +664,9 @@ SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
         # config errors that no swept value fixes
         ("sweep", ("k_max=0",), ["--param", "rho", "--values", "1,2"], "k_max must be >= 1"),
         ("sweep", ("plan=lowrank",), ["--param", "K", "--values", "300,257"], "nx*nx = 256"),
-        ("run", ("plan=lowrank", "k_eigs=2", "blur_width=1e300"), [], "blur_width must be in [0, nx = 16]"),
+        ("run", ("plan=lowrank", "k_eigs=2", "blur_width=1.5"), [], "blur_width is fixed at 0"),
         # the grid is fixed at the presets' FOV; another side is another run
-        ("run", ("side_cm=24",), [], "side_cm is fixed at 18.0 by the geometry presets"),
+        ("run", ("side_cm=24",), [], "side_cm is fixed at 18.0 since that knob was removed"),
         ("run", ("side_cm=1e308",), [], "side_cm is fixed at 18.0"),
         ("sweep", ("side_cm=abc",), ["--param", "rho", "--values", "0.5,1"], "side_cm is fixed"),
         ("run", ("seed=-1",), [], "seed must be >= 0"),
@@ -678,7 +674,7 @@ SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
         ("run", ("n_views=-3",), [], "n_views is fixed at 0"),
         ("run", ("n_bins=-1",), [], "n_bins is fixed at 0"),
         ("sweep", ("arc=-0.5",), ["--param", "rho", "--values", "0.5,1"], "arc is fixed at 0"),
-        ("run", ("arc=inf",), [], "arc is fixed at 0 by the geometry presets, got 'inf'"),
+        ("run", ("arc=inf",), [], "arc is fixed at 0 since that knob was removed, got 'inf'"),
         ("run", ("nx=0",), [], "nx must be >= 1"),
         ("run", ("n_views=12",), [], "n_views is fixed at 0"),
         ("sweep", ("n_bins=24",), ["--param", "rho", "--values", "0.5,1"], "n_bins is fixed at 0"),
@@ -700,7 +696,7 @@ SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
         "sweep-K-repeated",
         "sweep-k_max-0",
         "sweep-K-all-above-nx2",
-        "blur-above-nx",
+        "blur_width-1.5",
         "side_cm-24",
         "side_cm-1e308",
         "sweep-side_cm-abc",
@@ -730,14 +726,59 @@ def test_main_config_value_errors_exit_code(tmp_path, capsys, command, settings,
 
 def test_main_geometry_too_large_for_memory_exit_code(tmp_path, capsys):
     # numpy refuses the 65.5 TiB pixel-center grid of the phantom at
-    # once, so nothing is allocated
+    # once, so nothing is allocated, and nothing is written
     args = ["run", "-o", str(tmp_path / "out")]
     for pair in ("nx=3000000", "k_max=2"):
         args += ["--set", pair]
     assert cli.main(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: out of memory, reduce nx")
+    # numpy's message ignores the error's args, and still names the stage
+    assert err.startswith("config error: out of memory, reduce nx ([phantom] Unable to allocate")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["phantom", "--set", "nx=3000000", "-o", str(tmp_path / "ph")]) == 1
+    assert capsys.readouterr().err.startswith("config error: out of memory, reduce nx")
+    assert not (tmp_path / "ph").exists()
+
+
+def test_main_write_error_names_the_write_stage(tmp_path, capsys):
+    # OSError's message ignores its args; the stage still reaches it
+    (tmp_path / "out" / "final_image.raw").mkdir(parents=True)
+    args = ["run", "-o", str(tmp_path / "out")]
+    for pair in SMALL_RUN:
+        args += ["--set", pair]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("file error: [write] [Errno 21] Is a directory: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_main_gd_norm_failure_is_a_plan_error(tmp_path, monkeypatch, capsys):
+    # GD's Lipschitz bound ||X|| is spectral set-up, like a cppd plan
+    def no_norm(*args, **kwargs):
+        raise RuntimeError("Lanczos did not converge")
+
+    monkeypatch.setattr(cli, "spectral_norm", no_norm)
+    args = ["run", "-o", str(tmp_path / "out")]
+    for pair in SMALL_RUN + ("solver=gd",):
+        args += ["--set", pair]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: [plan] Lanczos did not converge\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_value_that_fails_leaves_no_directory(tmp_path, capsys):
+    # at nx = 16 A^T A has rank <= 208, so K = 209 fails in the plan stage
+    args = ["sweep", "--param", "K", "--values", "2,209", "-o", str(tmp_path / "sw")]
+    for pair in SMALL_RUN + ("plan=lowrank", "k_max=5", f"cache_dir={tmp_path / 'cache'}"):
+        args += ["--set", pair]
+    assert cli.main(args) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("sweep K=209 failed: [plan] eigenvalue 208 is numerically zero")
+    rows = read_csv(tmp_path / "sw" / "summary.csv")
+    assert [r[-1] for r in rows[1:]] == ["ok", "ValueError"]
+    assert (tmp_path / "sw" / "K_2").is_dir() and not (tmp_path / "sw" / "K_209").exists()
 
 
 COMBINATION_RUN = ("nx=16", "geometry=desk-sparse", "k_max=5", "k_eigs=2")
@@ -851,8 +892,8 @@ def test_tvclsq_run_bytes_do_not_depend_on_the_threshold_hint(tmp_path, monkeypa
 def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):
     # scipy.sparse.linalg pulls in scipy.linalg, several MB resident that
     # the numpy Lanczos engine does not need, low-rank plans included;
-    # scipy.ndimage serves only smoothed plans, and no run needs the
-    # process pool
+    # only ct.gaussian_smooth loads scipy.ndimage, and no run calls it;
+    # no run needs the process pool either
     tv = ["--set", "problem=tvclsq", "-o", str(tmp_path / "tv")]
     lowrank = ["--set", "plan=lowrank", "--set", "k_eigs=3",
                "--set", f"cache_dir={tmp_path / 'cache'}", "-o", str(tmp_path / "lr")]

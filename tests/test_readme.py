@@ -1,10 +1,15 @@
-"""The README's Python examples run as written against the package, and
-its config table matches the config's fields and defaults."""
+"""The README's Python examples run as written against the package, its
+`pdtomo eig` example prints what its comment shows, and its config table
+matches the config's fields and defaults."""
 
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
+from pdtomo import cli
 from pdtomo.config import ExperimentConfig, parse_config_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +44,20 @@ def test_readme_config_table_matches_the_config_fields_and_defaults():
     for key, value in zip(keys, values):
         parsed = getattr(parse_config_text(f"{key} = {value}"), key)
         assert parsed == getattr(defaults, key), key
+
+
+EIG_LINE = re.compile(r"eigenvalues \[(.*)\], sigma0 (\S+) cached at (\S+)$")
+
+
+def test_readme_eig_example_prints_its_comment(tmp_path, monkeypatch, capsys):
+    command, comment = re.search(
+        r"^(pdtomo eig .*)\n# (eigenvalues .*)$", README.read_text(), re.M
+    ).groups()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(command)[1:]) == 0
+    got = EIG_LINE.match(capsys.readouterr().out.strip()).groups()
+    want = EIG_LINE.match(comment).groups()
+    # the eigcache file name and the printed eigenvalues exactly
+    assert got[2] == want[2] and Path(got[2]).is_file()
+    assert got[0] == want[0]
+    assert float(got[1]) == pytest.approx(float(want[1]), rel=1e-12)
