@@ -375,16 +375,18 @@ def demo(name: str, outdir) -> list[Path]:
 def write_phantom(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     grid = build_grid(cfg)
-    ph = generate(grid, cfg.seed)
-    out = ensure_dir(cfg.outdir)
-    shape = (grid.ny, grid.nx)
-    save_raw(out / "phantom.raw", ph.image)
-    save_pgm(out / "phantom.pgm", ph.image, shape, GRAY_WINDOWS["tissue"])
-    save_pgm(out / "phantom_narrow.pgm", ph.image, shape, GRAY_WINDOWS["narrow"])
-    grad_img = gmi(ph)
-    save_raw(out / "gmi.raw", grad_img)
-    top = float(grad_img.max())
-    save_pgm(out / "gmi.pgm", grad_img, shape, (0.0, top if top > 0 else 1.0))
+    with _stage("phantom"):
+        ph = generate(grid, cfg.seed)
+        grad_img = gmi(ph)
+    with _stage("write"):
+        out = ensure_dir(cfg.outdir)
+        shape = (grid.ny, grid.nx)
+        save_raw(out / "phantom.raw", ph.image)
+        save_pgm(out / "phantom.pgm", ph.image, shape, GRAY_WINDOWS["tissue"])
+        save_pgm(out / "phantom_narrow.pgm", ph.image, shape, GRAY_WINDOWS["narrow"])
+        save_raw(out / "gmi.raw", grad_img)
+        top = float(grad_img.max())
+        save_pgm(out / "gmi.pgm", grad_img, shape, (0.0, top if top > 0 else 1.0))
     return {
         "tv": ph.tv_value,
         "nonzero": int(np.count_nonzero(ph.image)),
@@ -396,9 +398,12 @@ def compute_eigenpairs(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     grid = build_grid(cfg)
     geom = build_geometry(cfg.geometry)
-    ph = generate(grid, cfg.seed)
-    problem = assemble_problem(cfg, grid, geom, ph)
-    eigs, sigma0 = cached_eigenpairs(cfg, grid, geom, problem.operator())
+    with _stage("phantom"):
+        ph = generate(grid, cfg.seed)
+    with _stage("data"):
+        problem = assemble_problem(cfg, grid, geom, ph)
+    with _stage("plan"):
+        eigs, sigma0 = cached_eigenpairs(cfg, grid, geom, problem.operator())
     return {
         "path": str(_eig_cache_path(cfg, grid, geom)),
         "values": [float(v) for v in eigs.values],

@@ -16,6 +16,8 @@ endpoint excluded.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -285,12 +287,145 @@ def _system_matrices(grid: ImageGrid, geom: FanBeamGeometry):
     return mat, mat.T.tocsr()
 
 
+# A stored CSR matrix with at least this many entries is applied as two
+# row halves at once, one on the calling thread and one on a helper
+# thread (scipy's product releases the GIL).  Below it, the handoff costs
+# more than the half saves; CHANGES.md has the measured crossover.
+SPLIT_NNZ = 200_000
+
+
+class _Helper:
+    """One daemon thread that computes one half of a CSR product at a time.
+
+    The handoff is two locks, each held while its side has nothing to
+    do: the caller posts a half and releases `_go`; the helper takes
+    `_go`, computes the half and releases `_done`.  A caller whose own
+    half ends before the helper has taken `_go` takes it back and
+    computes both halves, so a helper still waiting for a CPU does not
+    delay the product.  `_claim` gives the helper to one caller at a
+    time.  The thread starts on the first product.
+    """
+
+    def __init__(self):
+        self._claim = threading.Lock()
+        self._go = threading.Lock()
+        self._done = threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._thread: threading.Thread | None = None
+        self._task = None
+        self._result = None
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            mat, x = self._task
+            # handed to the caller, which raises it
+            try:
+                self._result = (mat @ x, None)
+            except Exception as exc:
+                self._result = (None, exc)
+            self._done.release()
+
+    def _wait_done(self) -> None:
+        """Wait for the helper's half; an interrupt during the wait is
+        raised only once the half has ended."""
+        interrupt = None
+        while True:
+            try:
+                self._done.acquire()
+                break
+            except BaseException as exc:
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
+
+    def product(self, mat: sp.csr_matrix, top: sp.csr_matrix, bottom: sp.csr_matrix, x):
+        """mat @ x as top @ x (here) stacked on bottom @ x (on the helper);
+        in one piece while another caller holds the helper."""
+        if not self._claim.acquire(blocking=False):
+            return mat @ x
+        try:
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._serve, name="pdtomo-csr-half", daemon=True
+                )
+                self._thread.start()
+            self._task = (bottom, x)
+            self._go.release()
+            try:
+                head = top @ x
+            finally:
+                # even when the caller's half failed, nothing of this
+                # product is left on the helper once it is free
+                local = self._go.acquire(blocking=False)
+                if not local:
+                    self._wait_done()
+            if local:
+                tail = bottom @ x
+            else:
+                tail, exc = self._result
+                if exc is not None:
+                    raise exc
+        finally:
+            self._task = self._result = None
+            self._claim.release()
+        return np.concatenate((head, tail))
+
+
+# A forked child inherits this object but not its thread: each of its
+# products takes the posted half back, so it runs in one piece.
+_HELPER = _Helper()
+
+
+def _allowed_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _csr_view(data, indices, indptr, shape) -> sp.csr_matrix:
+    """CSR matrix over exactly these arrays; the constructor would copy a
+    view under half of its base's size."""
+    mat = sp.csr_matrix(shape)
+    mat.data, mat.indices, mat.indptr = data, indices, indptr
+    return mat
+
+
+def _split_rows(mat: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Row halves of `mat`, cut at the row holding its middle stored entry.
+
+    Both are views of `mat`'s arrays; only the second half's `indptr`
+    is a new (rebased) array.
+    """
+    cut = int(np.searchsorted(mat.indptr, mat.nnz // 2, side="right")) - 1
+    mid = mat.indptr[cut]
+    n_rows, n_cols = mat.shape
+    top = _csr_view(mat.data[:mid], mat.indices[:mid], mat.indptr[: cut + 1], (cut, n_cols))
+    bottom = _csr_view(
+        mat.data[mid:], mat.indices[mid:], mat.indptr[cut:] - mid, (n_rows - cut, n_cols)
+    )
+    return top, bottom
+
+
+def _product(mat: sp.csr_matrix):
+    """x -> mat @ x; split in row halves across two threads when `mat`
+    has at least SPLIT_NNZ entries and the process may use 2 CPUs.
+
+    Each row's sum is formed by the same kernel in the same order either
+    way, so the split product equals `mat @ x` bit for bit.
+    """
+    if mat.nnz < SPLIT_NNZ or _allowed_cpus() < 2:
+        return lambda x: mat @ x
+    top, bottom = _split_rows(mat)
+    return lambda x: _HELPER.product(mat, top, bottom, x)
+
+
 def _pair_map(pair: tuple[sp.csr_matrix, sp.csr_matrix], label: str) -> LinearMap:
     """Matched map over a stored CSR pair (A, A^T)."""
     mat, mat_t = pair
-    return LinearMap(
-        mat.shape[1], mat.shape[0], lambda x: mat @ x, lambda y: mat_t @ y, label=label
-    )
+    return LinearMap(mat.shape[1], mat.shape[0], _product(mat), _product(mat_t), label=label)
 
 
 def projector(grid: ImageGrid, geom: FanBeamGeometry) -> LinearMap:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdtomo import cli, solver, spectral
+from pdtomo import cli, ct, solver, spectral
 from pdtomo.config import (
     ConfigError,
     ExperimentConfig,
@@ -574,6 +574,46 @@ def test_rho_sweep_computes_the_lowrank_plan_once(tmp_path, monkeypatch):
     assert all(cell for r in rows[1:] for cell in r)
 
 
+# Runs whose X and X^T (desk-oversampled at nx = 64, 521,480 entries
+# each) are above the split floor.
+SPLIT_RUNS = {
+    "lsq-lowrank": dict(plan="lowrank", k_eigs=5),
+    "lsq-scalar": dict(plan="scalar"),
+    "tvclsq": dict(problem="tvclsq"),
+    "gd": dict(solver="gd"),
+    "cgls": dict(solver="cgls"),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_RUNS)
+def test_split_products_leave_artifacts_byte_identical(tmp_path, monkeypatch, name):
+    # two allowed CPUs are assumed, so the split runs on any machine
+    monkeypatch.setattr(ct, "_allowed_cpus", lambda: 2)
+    helper = ct._Helper()
+    monkeypatch.setattr(ct, "_HELPER", helper)
+    artifacts = {}
+    for side, floor in (("split", ct.SPLIT_NNZ), ("one-piece", 2**62)):
+        monkeypatch.setattr(ct, "SPLIT_NNZ", floor)
+        out = tmp_path / side
+        cfg = tiny_cfg(
+            out,
+            nx=64,
+            geometry="desk-oversampled",
+            k_max=20,
+            record_stride=5,
+            cache_dir=str(tmp_path / f"cache_{side}"),
+            **SPLIT_RUNS[name],
+        )
+        cli.run_experiment(cfg)
+        artifacts[side] = [
+            (out / artifact).read_bytes()
+            for artifact in ("convergence.csv", "final_image.raw", "data.sng")
+        ]
+        if side == "split":
+            assert helper._thread is not None, "no product was split"
+    assert artifacts["split"] == artifacts["one-piece"]
+
+
 def test_parallel_lowrank_sweep_computes_plan_once(tmp_path, monkeypatch):
     # a config that still asks for worker processes sweeps in this one
     # process: the eigenpairs are computed once, and the bytes match a
@@ -739,6 +779,24 @@ def test_main_geometry_too_large_for_memory_exit_code(tmp_path, capsys):
     assert cli.main(["phantom", "--set", "nx=3000000", "-o", str(tmp_path / "ph")]) == 1
     assert capsys.readouterr().err.startswith("config error: out of memory, reduce nx")
     assert not (tmp_path / "ph").exists()
+
+
+def test_phantom_and_eig_errors_name_their_stage(tmp_path, monkeypatch, capsys):
+    assert cli.main(["phantom", "--set", "nx=3000000", "-o", str(tmp_path / "ph")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory, reduce nx ([phantom] Unable to allocate")
+    assert not (tmp_path / "ph").exists()
+
+    def no_pairs(*args, **kwargs):
+        raise RuntimeError("Lanczos did not converge")
+
+    monkeypatch.setattr(cli, "leading_eigenpairs", no_pairs)
+    args = ["eig", "-o", str(tmp_path / "eig")]
+    for pair in SMALL_RUN + ("plan=lowrank", "k_eigs=3", f"cache_dir={tmp_path / 'cache'}"):
+        args += ["--set", pair]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: [plan] Lanczos did not converge")
 
 
 def test_main_write_error_names_the_write_stage(tmp_path, capsys):

@@ -1,11 +1,17 @@
 """Fan-beam projector over the FOV pixels, gradient, and smoothing operators."""
 
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from pdtomo import ct
 from pdtomo.ct import (
     FanBeamGeometry,
     ImageGrid,
@@ -307,6 +313,312 @@ def test_streamed_build_peak_memory_near_stored_pair():
         tracemalloc.stop()
     stored = sum(a.nbytes for m in (mat, mat_t) for a in (m.data, m.indices, m.indptr))
     assert peak <= 1.3 * stored
+
+
+# -- split CSR products ------------------------------------------------------
+
+# Longest a test waits on the helper; a deadlock fails the test instead
+# of hanging it.
+WAIT_S = 10.0
+
+
+def bounded(fn, *args):
+    """fn(*args) on a daemon thread, waited on for at most WAIT_S; returns
+    its result or raises its exception."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(WAIT_S)
+    assert not thread.is_alive(), "product did not finish: helper handoff stuck"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+class Half:
+    """Stands in for a CSR row half: `half @ x` calls fn(x)."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __matmul__(self, x):
+        return self.fn(x)
+
+
+@pytest.fixture(scope="module")
+def oversampled_pair():
+    return _system_matrices(ImageGrid(64, 64, 18.0), build_geometry("desk-oversampled"))
+
+
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """A helper of this test's own, installed as the process's helper."""
+    helper = ct._Helper()
+    monkeypatch.setattr(ct, "_HELPER", helper)
+    return helper
+
+
+def test_split_product_is_bit_equal_for_desk_oversampled(oversampled_pair, fresh_helper, rng):
+    for mat in oversampled_pair:
+        assert mat.nnz >= ct.SPLIT_NNZ
+        top, bottom = ct._split_rows(mat)
+        # views of the stored arrays, cut at the row of the middle entry
+        for half in (top, bottom):
+            assert np.shares_memory(half.data, mat.data)
+            assert np.shares_memory(half.indices, mat.indices)
+        assert np.shares_memory(top.indptr, mat.indptr)
+        assert top.indptr[-1] <= mat.nnz // 2 < top.indptr[-1] + bottom.indptr[1]
+        assert top.shape[0] + bottom.shape[0] == mat.shape[0]
+        for _ in range(3):
+            x = rng.standard_normal(mat.shape[1])
+            assert np.array_equal(bounded(fresh_helper.product, mat, top, bottom, x), mat @ x)
+    x_map = projector(ImageGrid(64, 64, 18.0), build_geometry("desk-oversampled"))
+    mat, mat_t = oversampled_pair
+    x, y = rng.standard_normal(x_map.domain_dim), rng.standard_normal(x_map.range_dim)
+    assert np.array_equal(bounded(x_map, x), mat @ x)
+    assert np.array_equal(bounded(x_map.adjoint, y), mat_t @ y)
+    assert fresh_helper._thread is not None
+
+
+def test_split_rows_keeps_views_for_unequal_halves():
+    # scipy's constructor would copy a view under half its base's size
+    mat, _ = _system_matrices(ImageGrid(64, 64, 18.0), build_geometry("desk-limited"))
+    top, bottom = ct._split_rows(mat)
+    assert top.nnz != bottom.nnz
+    for half in (top, bottom):
+        assert np.shares_memory(half.data, mat.data)
+        assert np.shares_memory(half.indices, mat.indices)
+    x = np.arange(mat.shape[1], dtype=float)
+    assert np.array_equal(np.concatenate((top @ x, bottom @ x)), mat @ x)
+
+
+def test_helper_exception_reaches_caller(oversampled_pair, fresh_helper, rng):
+    mat = oversampled_pair[0]
+    top, bottom = ct._split_rows(mat)
+    started = threading.Event()
+    ran_on = []
+
+    def failing(x):
+        ran_on.append(threading.current_thread().name)
+        started.set()
+        raise FloatingPointError("helper half failed")
+
+    def caller_half(x):
+        # the helper has picked its half up before this one ends
+        assert started.wait(WAIT_S)
+        return top @ x
+
+    x = rng.standard_normal(mat.shape[1])
+    with pytest.raises(FloatingPointError, match="helper half failed"):
+        bounded(fresh_helper.product, mat, Half(caller_half), Half(failing), x)
+    assert ran_on == ["pdtomo-csr-half"]
+    # the helper serves the next product, correctly
+    assert np.array_equal(bounded(fresh_helper.product, mat, top, bottom, x), mat @ x)
+
+
+def test_caller_failure_waits_for_the_helper_half(oversampled_pair, fresh_helper, rng):
+    mat = oversampled_pair[0]
+    top, bottom = ct._split_rows(mat)
+    started, release = threading.Event(), threading.Event()
+    events = []
+
+    def slow(x):
+        started.set()
+        release.wait(WAIT_S)
+        events.append("helper half ended")
+        return np.full(bottom.shape[0], np.nan)
+
+    def interrupted(x):
+        assert started.wait(WAIT_S)
+        raise KeyboardInterrupt
+
+    def call():
+        try:
+            fresh_helper.product(mat, Half(interrupted), Half(slow), x)
+        except KeyboardInterrupt:
+            events.append("caller raised")
+
+    x = rng.standard_normal(mat.shape[1])
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    assert started.wait(WAIT_S)
+    caller.join(0.2)
+    assert caller.is_alive(), "the caller returned before the helper's half ended"
+    release.set()
+    caller.join(WAIT_S)
+    assert not caller.is_alive()
+    assert events == ["helper half ended", "caller raised"]
+    # no later product reads the abandoned half (all NaN)
+    for _ in range(3):
+        x = rng.standard_normal(mat.shape[1])
+        assert np.array_equal(bounded(fresh_helper.product, mat, top, bottom, x), mat @ x)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_interrupted_wait_still_waits_for_the_helper_half(oversampled_pair, fresh_helper, rng):
+    # a signal can interrupt a lock wait only on the main thread, so the
+    # caller is this test; the helper's half ends within WAIT_S either way
+    mat = oversampled_pair[0]
+    top, bottom = ct._split_rows(mat)
+    started, release = threading.Event(), threading.Event()
+    events = []
+
+    def slow(x):
+        started.set()
+        release.wait(WAIT_S)
+        events.append("helper half ended")
+        return np.full(bottom.shape[0], np.nan)
+
+    def caller_half(x):
+        assert started.wait(WAIT_S)
+        return top @ x
+
+    def on_alarm(signum, frame):
+        # interrupts the wait for the helper, which is released later
+        threading.Timer(0.2, release.set).start()
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            fresh_helper.product(mat, Half(caller_half), Half(slow), rng.standard_normal(mat.shape[1]))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        release.set()
+    assert events == ["helper half ended"]
+    x = rng.standard_normal(mat.shape[1])
+    assert np.array_equal(bounded(fresh_helper.product, mat, top, bottom, x), mat @ x)
+
+
+def test_busy_helper_gives_a_one_piece_product(oversampled_pair, fresh_helper, rng):
+    mat = oversampled_pair[0]
+    top, bottom = ct._split_rows(mat)
+    started, release = threading.Event(), threading.Event()
+
+    def slow(x):
+        started.set()
+        release.wait(WAIT_S)
+        return bottom @ x
+
+    def caller_half(x):
+        assert started.wait(WAIT_S)
+        # a second product meets the helper busy and runs in one piece
+        inner = rng.standard_normal(mat.shape[1])
+        assert np.array_equal(fresh_helper.product(mat, None, None, inner), mat @ inner)
+        release.set()
+        return top @ x
+
+    x = rng.standard_normal(mat.shape[1])
+    assert np.array_equal(
+        bounded(fresh_helper.product, mat, Half(caller_half), Half(slow), x), mat @ x
+    )
+
+
+def test_concurrent_callers_share_the_helper_safely(oversampled_pair, fresh_helper):
+    halves = {id(mat): ct._split_rows(mat) for mat in oversampled_pair}
+    inputs_rng = np.random.default_rng(5)
+    inputs = [
+        (mat, inputs_rng.standard_normal(mat.shape[1]))
+        for mat in oversampled_pair
+        for _ in range(4)
+    ]
+    wrong = []
+
+    def caller(k):
+        for i in range(40):
+            mat, x = inputs[(k + i) % len(inputs)]
+            top, bottom = halves[id(mat)]
+            if not np.array_equal(fresh_helper.product(mat, top, bottom, x), mat @ x):
+                wrong.append((k, i))
+
+    # more callers than CPUs, switching threads as often as possible
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(6)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(WAIT_S)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in callers)
+    assert wrong == []
+
+
+def test_products_below_the_floor_start_no_thread(fresh_helper, rng):
+    grid = ImageGrid(64, 64, 18.0)
+    geom = build_geometry("desk-sparse")
+    # the README quick-start's operators: X has 64,088 entries, D 16,128
+    for mat in (*_system_matrices(grid, geom), *_gradient_matrices(grid.nx)):
+        assert mat.nnz < ct.SPLIT_NNZ
+    for map_ in (projector(grid, geom), gradient(grid)):
+        bounded(map_, rng.standard_normal(map_.domain_dim))
+        bounded(map_.adjoint, rng.standard_normal(map_.range_dim))
+    assert fresh_helper._thread is None
+
+
+def test_one_allowed_cpu_gives_one_piece_products(oversampled_pair, fresh_helper, monkeypatch, rng):
+    monkeypatch.setattr(ct.os, "sched_getaffinity", lambda pid: {0})
+    x_map = projector(ImageGrid(64, 64, 18.0), build_geometry("desk-oversampled"))
+    mat, mat_t = oversampled_pair
+    x, y = rng.standard_normal(x_map.domain_dim), rng.standard_normal(x_map.range_dim)
+    assert np.array_equal(bounded(x_map, x), mat @ x)
+    assert np.array_equal(bounded(x_map.adjoint, y), mat_t @ y)
+    assert fresh_helper._thread is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_forked_child_products_stay_bit_equal(oversampled_pair, fresh_helper, rng):
+    mat = oversampled_pair[0]
+    top, bottom = ct._split_rows(mat)
+    x = rng.standard_normal(mat.shape[1])
+    bounded(fresh_helper.product, mat, top, bottom, x)
+    pid = os.fork()
+    if pid == 0:
+        # the child inherits the helper object but not its thread
+        code = 1
+        try:
+            same = [
+                np.array_equal(fresh_helper.product(mat, top, bottom, x), mat @ x)
+                for _ in range(3)
+            ]
+            code = 0 if all(same) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + WAIT_S
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("a product in the forked child did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_one_helper_thread_serves_every_map(oversampled_pair, fresh_helper, rng):
+    grid = ImageGrid(64, 64, 18.0)
+    maps = [projector(grid, build_geometry(p)) for p in ("desk-oversampled", "desk-full")]
+    for map_ in maps:
+        bounded(map_, rng.standard_normal(map_.domain_dim))
+        bounded(map_.adjoint, rng.standard_normal(map_.range_dim))
+    thread = fresh_helper._thread
+    assert thread is not None and thread.daemon and thread.is_alive()
+    bounded(maps[0], rng.standard_normal(maps[0].domain_dim))
+    assert fresh_helper._thread is thread
 
 
 def test_gradient_constant_in_null_space():
