@@ -1,9 +1,10 @@
 """Flat key-value experiment configuration.
 
-Config files are plain text, one `key = value` per line, `#` comments;
-the same format is echoed back as the run manifest (plus a `version`
-line, which the parser accepts and ignores), so any manifest can be
-replayed as a config.  The parser also ignores the keys of removed
+Config files are plain text, one `key = value` per line; `#` starts a
+comment at the start of a line or after whitespace, so `out#1` is a
+value.  The same format is echoed back as the run manifest (plus a
+`version` line, which the parser accepts and ignores), so any manifest
+can be replayed as a config.  The parser also ignores the keys of removed
 knobs (the bisection l1-ball prox tolerance, the power-method iteration
 count, the sweep process count), so manifests that carry them still
 replay.  Other removed knobs replay only at the value runs now use:
@@ -14,6 +15,7 @@ replay.  Other removed knobs replay only at the value runs now use:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -109,6 +111,14 @@ class ExperimentConfig:
             raise ConfigError("beta must be nonnegative")
         if self.problem == "tvclsq" and "gamma" in floats and not floats["gamma"] > 0:
             raise ConfigError("gamma must be positive")
+        # the manifest must replay this run
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "str" and _read_back(f.name, value) != value:
+                raise ConfigError(
+                    f"{f.name} = {value!r} cannot be written to a manifest and read "
+                    "back: no line break, surrounding blanks, or '#' after a blank"
+                )
         return self
 
 
@@ -119,16 +129,18 @@ _IGNORED_KEYS = ("version", "l1_tol", "power_iters", "workers")
 _RETIRED_KEYS = {"side_cm": FOV_CM, "n_views": 0, "n_bins": 0, "arc": 0, "blur_width": 0}
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse `key = value` lines on top of a base config (or defaults)."""
+# a comment starts at a line's first `#` that opens it or follows a blank
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _parse_pairs(pairs, base: ExperimentConfig | None) -> ExperimentConfig:
+    """Apply (where, `key = value` text) pairs, in order, on top of a base
+    config (or defaults); `where` prefixes each error."""
     cfg = base or ExperimentConfig()
     updates = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in pairs:
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in _IGNORED_KEYS:
             continue
@@ -140,21 +152,41 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
                 replays = False
             if not replays:
                 raise ConfigError(
-                    f"line {lineno}: {key} is fixed at {fixed!r} since that knob "
+                    f"{where}: {key} is fixed at {fixed!r} since that knob "
                     f"was removed, got {value!r}"
                 )
             continue
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{where}: unknown key {key!r}")
         try:
             updates[key] = _PARSERS[_FIELD_TYPES[key]](value)
         except ConfigError:
             raise
         except ValueError:
             raise ConfigError(
-                f"line {lineno}: cannot parse {value!r} as {_FIELD_TYPES[key]} for {key!r}"
+                f"{where}: cannot parse {value!r} as {_FIELD_TYPES[key]} for {key!r}"
             ) from None
     return replace(cfg, **updates)
+
+
+def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """Parse `key = value` lines on top of a base config (or defaults)."""
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        comment = _COMMENT.search(raw)
+        line = (raw[: comment.start()] if comment else raw).strip()
+        if line:
+            pairs.append((f"line {lineno}", line))
+    return _parse_pairs(pairs, base)
+
+
+def _read_back(key: str, value: str) -> str | None:
+    """The value a manifest line `key = value` parses back to; None when
+    it does not parse."""
+    try:
+        return getattr(parse_config_text(f"{key} = {value}"), key)
+    except ConfigError:
+        return None
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -166,8 +198,9 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig:
-    """Apply --set key=value command-line overrides."""
-    return parse_config_text("\n".join(pairs), cfg)
+    """Apply --set key=value command-line overrides, each value verbatim:
+    a `#` in it is not a comment, and a line break stays in the value."""
+    return _parse_pairs([(f"--set {pair!r}", pair) for pair in pairs], cfg)
 
 
 def config_to_text(cfg: ExperimentConfig, version: str | None = None) -> str:

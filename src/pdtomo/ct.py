@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .linop import LinearMap, Vector
 
@@ -289,13 +290,31 @@ def _system_matrices(grid: ImageGrid, geom: FanBeamGeometry):
 
 # A stored CSR matrix with at least this many entries is applied as two
 # row halves at once, one on the calling thread and one on a helper
-# thread (scipy's product releases the GIL).  Below it, the handoff costs
+# thread (scipy's kernel releases the GIL).  Below it, the handoff costs
 # more than the half saves; CHANGES.md has the measured crossover.
 SPLIT_NNZ = 200_000
 
 
+def _matvec_rows(mat: sp.csr_matrix, x, out, lo: int, hi: int) -> None:
+    """Add rows [lo, hi) of mat @ x to out[lo:hi].
+
+    This is scipy's own CSR kernel, the one behind `mat @ x`, called
+    directly so that two threads can fill one output: `indptr[lo:hi+1]`
+    holds absolute offsets into the full `indices` and `data`, so no
+    array is sliced, rebased or copied.  The kernel checks no bounds,
+    so they are checked here.
+    """
+    n_rows, n_cols = mat.shape
+    if x.shape != (n_cols,) or out.shape != (n_rows,) or not 0 <= lo <= hi <= n_rows:
+        raise ValueError(f"rows [{lo}, {hi}) of a {n_rows}x{n_cols} product: bad shapes")
+    _sparsetools.csr_matvec(
+        hi - lo, n_cols, mat.indptr[lo : hi + 1], mat.indices, mat.data, x, out[lo:hi]
+    )
+
+
 class _Helper:
-    """One daemon thread that computes one half of a CSR product at a time.
+    """One daemon thread that computes the second row half of a CSR
+    product at a time, into the caller's output.
 
     The handoff is two locks, each held while its side has nothing to
     do: the caller posts a half and releases `_go`; the helper takes
@@ -303,7 +322,8 @@ class _Helper:
     half ends before the helper has taken `_go` takes it back and
     computes both halves, so a helper still waiting for a CPU does not
     delay the product.  `_claim` gives the helper to one caller at a
-    time.  The thread starts on the first product.
+    time.  The thread starts on the first product.  It only ever runs
+    `_matvec_rows`, never a map.
     """
 
     def __init__(self):
@@ -314,17 +334,16 @@ class _Helper:
         self._done.acquire()
         self._thread: threading.Thread | None = None
         self._task = None
-        self._result = None
+        self._error = None
 
     def _serve(self) -> None:
         while True:
             self._go.acquire()
-            mat, x = self._task
             # handed to the caller, which raises it
             try:
-                self._result = (mat @ x, None)
+                _matvec_rows(*self._task)
             except Exception as exc:
-                self._result = (None, exc)
+                self._error = exc
             self._done.release()
 
     def _wait_done(self) -> None:
@@ -340,37 +359,39 @@ class _Helper:
         if interrupt is not None:
             raise interrupt
 
-    def product(self, mat: sp.csr_matrix, top: sp.csr_matrix, bottom: sp.csr_matrix, x):
-        """mat @ x as top @ x (here) stacked on bottom @ x (on the helper);
-        in one piece while another caller holds the helper."""
-        if not self._claim.acquire(blocking=False):
-            return mat @ x
+    def product(self, mat: sp.csr_matrix, cut: int, x):
+        """mat @ x into one zeroed output, rows [0, cut) here and the
+        rest on the helper; in one piece when that rest is empty or
+        another caller holds the helper."""
+        n_rows = mat.shape[0]
+        out = np.zeros(n_rows)
+        if cut == n_rows or not self._claim.acquire(blocking=False):
+            _matvec_rows(mat, x, out, 0, n_rows)
+            return out
         try:
             if self._thread is None:
                 self._thread = threading.Thread(
                     target=self._serve, name="pdtomo-csr-half", daemon=True
                 )
                 self._thread.start()
-            self._task = (bottom, x)
+            self._task = (mat, x, out, cut, n_rows)
             self._go.release()
             try:
-                head = top @ x
+                _matvec_rows(mat, x, out, 0, cut)
             finally:
-                # even when the caller's half failed, nothing of this
-                # product is left on the helper once it is free
+                # even when the caller's half failed, the helper writes
+                # nothing into `out` once it is free
                 local = self._go.acquire(blocking=False)
                 if not local:
                     self._wait_done()
             if local:
-                tail = bottom @ x
-            else:
-                tail, exc = self._result
-                if exc is not None:
-                    raise exc
+                _matvec_rows(mat, x, out, cut, n_rows)
+            elif self._error is not None:
+                raise self._error
         finally:
-            self._task = self._result = None
+            self._task = self._error = None
             self._claim.release()
-        return np.concatenate((head, tail))
+        return out
 
 
 # A forked child inherits this object but not its thread: each of its
@@ -385,41 +406,18 @@ def _allowed_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _csr_view(data, indices, indptr, shape) -> sp.csr_matrix:
-    """CSR matrix over exactly these arrays; the constructor would copy a
-    view under half of its base's size."""
-    mat = sp.csr_matrix(shape)
-    mat.data, mat.indices, mat.indptr = data, indices, indptr
-    return mat
-
-
-def _split_rows(mat: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Row halves of `mat`, cut at the row holding its middle stored entry.
-
-    Both are views of `mat`'s arrays; only the second half's `indptr`
-    is a new (rebased) array.
-    """
-    cut = int(np.searchsorted(mat.indptr, mat.nnz // 2, side="right")) - 1
-    mid = mat.indptr[cut]
-    n_rows, n_cols = mat.shape
-    top = _csr_view(mat.data[:mid], mat.indices[:mid], mat.indptr[: cut + 1], (cut, n_cols))
-    bottom = _csr_view(
-        mat.data[mid:], mat.indices[mid:], mat.indptr[cut:] - mid, (n_rows - cut, n_cols)
-    )
-    return top, bottom
-
-
 def _product(mat: sp.csr_matrix):
-    """x -> mat @ x; split in row halves across two threads when `mat`
-    has at least SPLIT_NNZ entries and the process may use 2 CPUs.
+    """x -> mat @ x; split in row halves across two threads, cut at the
+    row holding the middle stored entry, when `mat` has at least
+    SPLIT_NNZ entries and the process may use 2 CPUs.
 
     Each row's sum is formed by the same kernel in the same order either
-    way, so the split product equals `mat @ x` bit for bit.
+    way, so the product equals `mat @ x` bit for bit.
     """
-    if mat.nnz < SPLIT_NNZ or _allowed_cpus() < 2:
-        return lambda x: mat @ x
-    top, bottom = _split_rows(mat)
-    return lambda x: _HELPER.product(mat, top, bottom, x)
+    cut = mat.shape[0]
+    if mat.nnz >= SPLIT_NNZ and _allowed_cpus() >= 2:
+        cut = int(np.searchsorted(mat.indptr, mat.nnz // 2, side="right")) - 1
+    return lambda x: _HELPER.product(mat, cut, x)
 
 
 def _pair_map(pair: tuple[sp.csr_matrix, sp.csr_matrix], label: str) -> LinearMap:

@@ -103,19 +103,23 @@ def stack(blocks: Sequence[tuple[float, LinearMap]], label: str = "stack") -> Li
     bounds = np.cumsum([0] + [blk.range_dim for _, blk in blocks]).tolist()
     parts = [(float(w), blk, lo, hi) for (w, blk), lo, hi in zip(blocks, bounds, bounds[1:])]
 
+    # a weight of 1 skips its scaling pass, which would change no bit
     def forward(x: Vector) -> Vector:
         out = np.empty(bounds[-1])
         for w, blk, lo, hi in parts:
             out[lo:hi] = blk(x)
-            out[lo:hi] *= w
+            if w != 1.0:
+                out[lo:hi] *= w
         return out
 
+    # the sum starts from the first block's product, not from zeros
     def adjoint(y: Vector) -> Vector:
-        out = np.zeros(n)
+        out = None
         for w, blk, lo, hi in parts:
             part = blk.adjoint(y[lo:hi])
-            part *= w
-            out += part
+            if w != 1.0:
+                part *= w
+            out = part if out is None else np.add(out, part, out=out)
         return out
 
     return LinearMap(n, bounds[-1], forward, adjoint, label=label)

@@ -208,7 +208,9 @@ def prox_tvc_conjugate(lam_g: Vector, radius: float, hint: float = 0.0) -> ProxR
     if total <= radius:
         return ProxResult(np.zeros_like(lam_g), aux=0.0)
     beta = _l1_threshold(a, total, radius, hint)
-    return ProxResult(np.clip(lam_g, -beta, beta), aux=beta)
+    # np.clip's Python wrapper costs more than the two ufuncs on short vectors
+    out = np.maximum(lam_g, -beta)
+    return ProxResult(np.minimum(out, beta, out=out), aux=beta)
 
 
 def lf_transform_numeric(f: Grid1D, m_grid: Vector) -> Grid1D:

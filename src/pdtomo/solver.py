@@ -275,17 +275,23 @@ def _advance(
     atl = a_map.adjoint(state.lam) if state.atl is None else state.atl
     ax = a_map(state.x) if state.ax is None else state.ax
     x_new = state.x - plan.apply_tau(atl)
-    xbar = 2.0 * x_new - state.x
+    # in place on the step's own temporaries, in the same IEEE operations
+    xbar = 2.0 * x_new
+    xbar -= state.x
     axbar = a_map(xbar)
-    lam_new, beta = prox(state.lam + plan.sigma * axbar, plan.sigma, state.beta)
+    v = plan.sigma * axbar
+    v += state.lam
+    lam_new, beta = prox(v, plan.sigma, state.beta)
     y_new = None if inv_sigma is None else (state.lam - lam_new) * inv_sigma + axbar
+    axbar += ax
+    axbar *= 0.5
     return SaddleState(
         x_new,
         lam_new,
         xbar,
         y_new,
         state.iteration + 1,
-        ax=0.5 * (axbar + ax),
+        ax=axbar,
         atl=a_map.adjoint(lam_new),
         beta=beta,
     )

@@ -121,6 +121,48 @@ def test_parse_errors_carry_line_numbers():
         parse_config_text("nx = 32\nrho = abc")
 
 
+def test_hash_inside_a_value_is_not_a_comment():
+    cfg = replace(ExperimentConfig(), outdir="runs/a#1", cache_dir="cache#2/eig")
+    manifest = config_to_text(cfg, version="0.1.0")
+    assert "outdir = runs/a#1" in manifest.splitlines()
+    assert parse_config_text(manifest) == cfg
+    # only a `#` at a line's start or after a blank opens a comment
+    assert parse_config_text("outdir = o#2 # note\n#nx = 8").outdir == "o#2"
+
+
+def test_set_values_are_taken_verbatim():
+    cfg = apply_overrides(ExperimentConfig(), ["outdir=out#1", "cache_dir = c # d"])
+    assert (cfg.outdir, cfg.cache_dir) == ("out#1", "c # d")
+    # a line break cannot inject a second key
+    cfg = apply_overrides(ExperimentConfig(), ["outdir=a\nnx=3"])
+    assert (cfg.outdir, cfg.nx) == ("a\nnx=3", 64)
+    with pytest.raises(ConfigError, match="--set 'nx'.*expected 'key = value'"):
+        apply_overrides(ExperimentConfig(), ["nx"])
+
+
+@pytest.mark.parametrize("value", ["a\nnx=3", "a #b", " lead", "trail ", "a\rb", "#x"])
+def test_values_a_manifest_cannot_replay_are_config_errors(value):
+    for key in ("outdir", "cache_dir"):
+        with pytest.raises(ConfigError, match=f"{key} = .* cannot be written to a manifest"):
+            replace(ExperimentConfig(), **{key: value}).validate()
+
+
+def test_run_with_hash_in_set_outdir_writes_there(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--set", "nx=16", "--set", "geometry=desk-sparse", "--set", "k_max=3"]
+    assert cli.main([*args, "--set", "outdir=out#1"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("-> out#1")
+    assert (tmp_path / "out#1" / "manifest").is_file()
+    assert not (tmp_path / "out").exists()
+    # -o too; its manifest replays the same directory
+    assert cli.main([*args, "-o", "o#2"]) == 0
+    assert load_config(tmp_path / "o#2" / "manifest").outdir == "o#2"
+    # a value the manifest could not replay stops the run before it writes
+    assert cli.main([*args, "--set", "outdir=o #3"]) == 1
+    assert "cannot be written to a manifest" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o#2", "out#1"]
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "absent.cfg")

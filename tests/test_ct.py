@@ -1,11 +1,13 @@
 """Fan-beam projector over the FOV pixels, gradient, and smoothing operators."""
 
+import ast
 import os
 import signal
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,7 +317,68 @@ def test_streamed_build_peak_memory_near_stored_pair():
     assert peak <= 1.3 * stored
 
 
-# -- split CSR products ------------------------------------------------------
+# -- CSR products through scipy's kernel -------------------------------------
+
+
+def random_csr(rng, n_rows, n_cols, index_dtype):
+    """A random CSR matrix with some empty rows, its index arrays set to
+    index_dtype (scipy's constructor would pick its own)."""
+    mat = sp.random(n_rows, n_cols, density=0.2, format="csr", random_state=rng)
+    mat = sp.diags((rng.random(n_rows) > 0.3).astype(float)) @ mat
+    mat = sp.csr_matrix(mat)
+    mat.indices = mat.indices.astype(index_dtype)
+    mat.indptr = mat.indptr.astype(index_dtype)
+    assert np.any(np.diff(mat.indptr) == 0)
+    return mat
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_row_range_kernel_equals_scipy_product(index_dtype, rng):
+    # pins scipy's private kernel: a release that moves it or changes its
+    # contract fails here, by name
+    mat = random_csr(rng, 57, 40, index_dtype)
+    assert mat.indices.dtype == mat.indptr.dtype == index_dtype
+    n_rows = mat.shape[0]
+    v = rng.standard_normal(2 * mat.shape[1])
+    for x in (rng.standard_normal(mat.shape[1]), v[::2]):
+        expected = mat @ x
+        out = np.zeros(n_rows)
+        ct._matvec_rows(mat, x, out, 0, n_rows)
+        assert np.array_equal(out, expected)
+        # a range that starts mid-matrix reads the unrebased indptr slice
+        for lo, hi in ((13, 41), (30, n_rows), (20, 20)):
+            out = np.zeros(n_rows)
+            ct._matvec_rows(mat, x, out, lo, hi)
+            assert np.array_equal(out[lo:hi], expected[lo:hi])
+            assert not out[:lo].any() and not out[hi:].any()
+    # the kernel reads and writes unchecked, so shapes are checked first
+    for x, out, lo, hi in (
+        (np.ones(mat.shape[1] - 1), np.zeros(n_rows), 0, n_rows),
+        (np.ones(mat.shape[1]), np.zeros(n_rows - 1), 0, n_rows - 1),
+        (np.ones(mat.shape[1]), np.zeros(n_rows), 5, n_rows + 1),
+        (np.ones(mat.shape[1]), np.zeros(n_rows), 6, 5),
+    ):
+        with pytest.raises(ValueError, match="bad shapes"):
+            ct._matvec_rows(mat, x, out, lo, hi)
+
+
+def test_only_the_row_range_function_touches_the_private_kernel():
+    def uses(node):
+        return sum(
+            "_sparsetools" in (getattr(n, "id", None), getattr(n, "attr", None))
+            for n in ast.walk(node)
+        )
+
+    for path in sorted(Path(ct.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and uses(f)]
+        if path.name != "ct.py":
+            assert uses(tree) == 0, path.name
+            continue
+        # every use outside the import sits in this one function
+        assert [f.name for f in funcs] == ["_matvec_rows"]
+        assert uses(tree) == uses(funcs[0])
+
 
 # Longest a test waits on the helper; a deadlock fails the test instead
 # of hanging it.
@@ -342,14 +405,12 @@ def bounded(fn, *args):
     return out["value"]
 
 
-class Half:
-    """Stands in for a CSR row half: `half @ x` calls fn(x)."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __matmul__(self, x):
-        return self.fn(x)
+def which_half(mat, lo, hi):
+    """'first' for the caller's row half, 'second' for the helper's (or
+    the caller's, when it takes it back), 'whole' for a one-piece product."""
+    if lo > 0:
+        return "second"
+    return "whole" if hi == mat.shape[0] else "first"
 
 
 @pytest.fixture(scope="module")
@@ -365,20 +426,39 @@ def fresh_helper(monkeypatch):
     return helper
 
 
-def test_split_product_is_bit_equal_for_desk_oversampled(oversampled_pair, fresh_helper, rng):
+@pytest.fixture
+def split(monkeypatch, fresh_helper):
+    """mat -> x -> mat @ x as a process allowed two CPUs builds it, so the
+    split runs on any machine."""
+    monkeypatch.setattr(ct, "_allowed_cpus", lambda: 2)
+    return ct._product
+
+
+def test_split_product_is_bit_equal_for_desk_oversampled(
+    oversampled_pair, fresh_helper, split, monkeypatch, rng
+):
+    real = ct._matvec_rows
+    calls = []
+
+    def spy(mat, x, out, lo, hi):
+        calls.append((out, lo, hi))
+        real(mat, x, out, lo, hi)
+
+    monkeypatch.setattr(ct, "_matvec_rows", spy)
     for mat in oversampled_pair:
         assert mat.nnz >= ct.SPLIT_NNZ
-        top, bottom = ct._split_rows(mat)
-        # views of the stored arrays, cut at the row of the middle entry
-        for half in (top, bottom):
-            assert np.shares_memory(half.data, mat.data)
-            assert np.shares_memory(half.indices, mat.indices)
-        assert np.shares_memory(top.indptr, mat.indptr)
-        assert top.indptr[-1] <= mat.nnz // 2 < top.indptr[-1] + bottom.indptr[1]
-        assert top.shape[0] + bottom.shape[0] == mat.shape[0]
+        product = split(mat)
         for _ in range(3):
             x = rng.standard_normal(mat.shape[1])
-            assert np.array_equal(bounded(fresh_helper.product, mat, top, bottom, x), mat @ x)
+            calls.clear()
+            y = bounded(product, x)
+            assert np.array_equal(y, mat @ x)
+            # two row halves into the returned output, cut at the row of
+            # the middle entry
+            (out_a, lo_a, cut), (out_b, cut_b, end) = sorted(calls, key=lambda c: c[1])
+            assert out_a is out_b is y
+            assert (lo_a, cut_b, end) == (0, cut, mat.shape[0])
+            assert mat.indptr[cut] <= mat.nnz // 2 < mat.indptr[cut + 1]
     x_map = projector(ImageGrid(64, 64, 18.0), build_geometry("desk-oversampled"))
     mat, mat_t = oversampled_pair
     x, y = rng.standard_normal(x_map.domain_dim), rng.standard_normal(x_map.range_dim)
@@ -387,64 +467,86 @@ def test_split_product_is_bit_equal_for_desk_oversampled(oversampled_pair, fresh
     assert fresh_helper._thread is not None
 
 
-def test_split_rows_keeps_views_for_unequal_halves():
-    # scipy's constructor would copy a view under half its base's size
-    mat, _ = _system_matrices(ImageGrid(64, 64, 18.0), build_geometry("desk-limited"))
-    top, bottom = ct._split_rows(mat)
-    assert top.nnz != bottom.nnz
-    for half in (top, bottom):
-        assert np.shares_memory(half.data, mat.data)
-        assert np.shares_memory(half.indices, mat.indices)
-    x = np.arange(mat.shape[1], dtype=float)
-    assert np.array_equal(np.concatenate((top @ x, bottom @ x)), mat @ x)
+def test_split_product_allocates_only_its_output(oversampled_pair, fresh_helper, monkeypatch, rng):
+    # no half outputs and no joined copy: the product's one output is all
+    # it allocates of that size
+    monkeypatch.setattr(ct, "_allowed_cpus", lambda: 2)
+    x_map = projector(ImageGrid(64, 64, 18.0), build_geometry("desk-oversampled"))
+    for apply, dim, out_dim in (
+        (x_map, x_map.domain_dim, x_map.range_dim),
+        (x_map.adjoint, x_map.range_dim, x_map.domain_dim),
+    ):
+        x = rng.standard_normal(dim)
+        bounded(apply, x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = bounded(apply, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert y.nbytes == 8 * out_dim
+        assert peak < 1.25 * y.nbytes
+    assert fresh_helper._thread is not None
 
 
-def test_helper_exception_reaches_caller(oversampled_pair, fresh_helper, rng):
+def test_helper_exception_reaches_caller(oversampled_pair, fresh_helper, split, monkeypatch, rng):
     mat = oversampled_pair[0]
-    top, bottom = ct._split_rows(mat)
+    product = split(mat)
+    real = ct._matvec_rows
     started = threading.Event()
     ran_on = []
 
-    def failing(x):
-        ran_on.append(threading.current_thread().name)
-        started.set()
-        raise FloatingPointError("helper half failed")
+    def rows(mat, x, out, lo, hi):
+        half = which_half(mat, lo, hi)
+        if half == "second":
+            ran_on.append(threading.current_thread().name)
+            started.set()
+            raise FloatingPointError("helper half failed")
+        if half == "first":
+            # the helper has picked its half up before this one ends
+            assert started.wait(WAIT_S)
+        real(mat, x, out, lo, hi)
 
-    def caller_half(x):
-        # the helper has picked its half up before this one ends
-        assert started.wait(WAIT_S)
-        return top @ x
-
+    monkeypatch.setattr(ct, "_matvec_rows", rows)
     x = rng.standard_normal(mat.shape[1])
     with pytest.raises(FloatingPointError, match="helper half failed"):
-        bounded(fresh_helper.product, mat, Half(caller_half), Half(failing), x)
+        bounded(product, x)
     assert ran_on == ["pdtomo-csr-half"]
     # the helper serves the next product, correctly
-    assert np.array_equal(bounded(fresh_helper.product, mat, top, bottom, x), mat @ x)
+    monkeypatch.setattr(ct, "_matvec_rows", real)
+    assert np.array_equal(bounded(product, x), mat @ x)
 
 
-def test_caller_failure_waits_for_the_helper_half(oversampled_pair, fresh_helper, rng):
+def test_caller_failure_waits_for_the_helper_half(
+    oversampled_pair, fresh_helper, split, monkeypatch, rng
+):
     mat = oversampled_pair[0]
-    top, bottom = ct._split_rows(mat)
+    product = split(mat)
+    real = ct._matvec_rows
     started, release = threading.Event(), threading.Event()
     events = []
 
-    def slow(x):
-        started.set()
-        release.wait(WAIT_S)
-        events.append("helper half ended")
-        return np.full(bottom.shape[0], np.nan)
-
-    def interrupted(x):
-        assert started.wait(WAIT_S)
-        raise KeyboardInterrupt
+    def rows(mat, x, out, lo, hi):
+        half = which_half(mat, lo, hi)
+        if half == "second":
+            started.set()
+            release.wait(WAIT_S)
+            out[lo:hi] = np.nan
+            events.append("helper half ended")
+        elif half == "first":
+            assert started.wait(WAIT_S)
+            raise KeyboardInterrupt
+        else:
+            real(mat, x, out, lo, hi)
 
     def call():
         try:
-            fresh_helper.product(mat, Half(interrupted), Half(slow), x)
+            product(x)
         except KeyboardInterrupt:
             events.append("caller raised")
 
+    monkeypatch.setattr(ct, "_matvec_rows", rows)
     x = rng.standard_normal(mat.shape[1])
     caller = threading.Thread(target=call, daemon=True)
     caller.start()
@@ -455,76 +557,90 @@ def test_caller_failure_waits_for_the_helper_half(oversampled_pair, fresh_helper
     caller.join(WAIT_S)
     assert not caller.is_alive()
     assert events == ["helper half ended", "caller raised"]
-    # no later product reads the abandoned half (all NaN)
+    # no later product holds the abandoned half's writes (all NaN)
+    monkeypatch.setattr(ct, "_matvec_rows", real)
     for _ in range(3):
         x = rng.standard_normal(mat.shape[1])
-        assert np.array_equal(bounded(fresh_helper.product, mat, top, bottom, x), mat @ x)
+        assert np.array_equal(bounded(product, x), mat @ x)
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
-def test_interrupted_wait_still_waits_for_the_helper_half(oversampled_pair, fresh_helper, rng):
+def test_interrupted_wait_still_waits_for_the_helper_half(
+    oversampled_pair, fresh_helper, split, monkeypatch, rng
+):
     # a signal can interrupt a lock wait only on the main thread, so the
     # caller is this test; the helper's half ends within WAIT_S either way
     mat = oversampled_pair[0]
-    top, bottom = ct._split_rows(mat)
+    product = split(mat)
+    real = ct._matvec_rows
     started, release = threading.Event(), threading.Event()
     events = []
 
-    def slow(x):
-        started.set()
-        release.wait(WAIT_S)
-        events.append("helper half ended")
-        return np.full(bottom.shape[0], np.nan)
-
-    def caller_half(x):
-        assert started.wait(WAIT_S)
-        return top @ x
+    def rows(mat, x, out, lo, hi):
+        half = which_half(mat, lo, hi)
+        if half == "second":
+            started.set()
+            release.wait(WAIT_S)
+            out[lo:hi] = np.nan
+            events.append("helper half ended")
+            return
+        if half == "first":
+            assert started.wait(WAIT_S)
+        real(mat, x, out, lo, hi)
 
     def on_alarm(signum, frame):
         # interrupts the wait for the helper, which is released later
         threading.Timer(0.2, release.set).start()
         raise KeyboardInterrupt
 
+    monkeypatch.setattr(ct, "_matvec_rows", rows)
     previous = signal.signal(signal.SIGALRM, on_alarm)
     signal.setitimer(signal.ITIMER_REAL, 0.2)
     try:
         with pytest.raises(KeyboardInterrupt):
-            fresh_helper.product(mat, Half(caller_half), Half(slow), rng.standard_normal(mat.shape[1]))
+            product(rng.standard_normal(mat.shape[1]))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
         release.set()
     assert events == ["helper half ended"]
+    monkeypatch.setattr(ct, "_matvec_rows", real)
     x = rng.standard_normal(mat.shape[1])
-    assert np.array_equal(bounded(fresh_helper.product, mat, top, bottom, x), mat @ x)
+    assert np.array_equal(bounded(product, x), mat @ x)
 
 
-def test_busy_helper_gives_a_one_piece_product(oversampled_pair, fresh_helper, rng):
+def test_busy_helper_gives_a_one_piece_product(
+    oversampled_pair, fresh_helper, split, monkeypatch, rng
+):
     mat = oversampled_pair[0]
-    top, bottom = ct._split_rows(mat)
+    product = split(mat)
+    real = ct._matvec_rows
     started, release = threading.Event(), threading.Event()
+    wholes = []
 
-    def slow(x):
-        started.set()
-        release.wait(WAIT_S)
-        return bottom @ x
+    def rows(mat, x, out, lo, hi):
+        half = which_half(mat, lo, hi)
+        if half == "second":
+            started.set()
+            release.wait(WAIT_S)
+        elif half == "first":
+            assert started.wait(WAIT_S)
+            # a second product meets the helper busy and runs in one piece
+            inner = rng.standard_normal(mat.shape[1])
+            assert np.array_equal(product(inner), mat @ inner)
+            release.set()
+        else:
+            wholes.append(threading.current_thread().name)
+        real(mat, x, out, lo, hi)
 
-    def caller_half(x):
-        assert started.wait(WAIT_S)
-        # a second product meets the helper busy and runs in one piece
-        inner = rng.standard_normal(mat.shape[1])
-        assert np.array_equal(fresh_helper.product(mat, None, None, inner), mat @ inner)
-        release.set()
-        return top @ x
-
+    monkeypatch.setattr(ct, "_matvec_rows", rows)
     x = rng.standard_normal(mat.shape[1])
-    assert np.array_equal(
-        bounded(fresh_helper.product, mat, Half(caller_half), Half(slow), x), mat @ x
-    )
+    assert np.array_equal(bounded(product, x), mat @ x)
+    assert len(wholes) == 1 and wholes[0] != "pdtomo-csr-half"
 
 
-def test_concurrent_callers_share_the_helper_safely(oversampled_pair, fresh_helper):
-    halves = {id(mat): ct._split_rows(mat) for mat in oversampled_pair}
+def test_concurrent_callers_share_the_helper_safely(oversampled_pair, split):
+    products = {id(mat): split(mat) for mat in oversampled_pair}
     inputs_rng = np.random.default_rng(5)
     inputs = [
         (mat, inputs_rng.standard_normal(mat.shape[1]))
@@ -536,8 +652,7 @@ def test_concurrent_callers_share_the_helper_safely(oversampled_pair, fresh_help
     def caller(k):
         for i in range(40):
             mat, x = inputs[(k + i) % len(inputs)]
-            top, bottom = halves[id(mat)]
-            if not np.array_equal(fresh_helper.product(mat, top, bottom, x), mat @ x):
+            if not np.array_equal(products[id(mat)](x), mat @ x):
                 wrong.append((k, i))
 
     # more callers than CPUs, switching threads as often as possible
@@ -579,20 +694,18 @@ def test_one_allowed_cpu_gives_one_piece_products(oversampled_pair, fresh_helper
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
-def test_forked_child_products_stay_bit_equal(oversampled_pair, fresh_helper, rng):
+def test_forked_child_products_stay_bit_equal(oversampled_pair, fresh_helper, split, rng):
     mat = oversampled_pair[0]
-    top, bottom = ct._split_rows(mat)
+    product = split(mat)
     x = rng.standard_normal(mat.shape[1])
-    bounded(fresh_helper.product, mat, top, bottom, x)
+    bounded(product, x)
+    assert fresh_helper._thread is not None
     pid = os.fork()
     if pid == 0:
         # the child inherits the helper object but not its thread
         code = 1
         try:
-            same = [
-                np.array_equal(fresh_helper.product(mat, top, bottom, x), mat @ x)
-                for _ in range(3)
-            ]
+            same = [np.array_equal(product(x), mat @ x) for _ in range(3)]
             code = 0 if all(same) else 1
         finally:
             os._exit(code)

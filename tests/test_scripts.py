@@ -14,6 +14,7 @@ RUNS = {
     "precondition_study": (["--k-max", "5"], 1),
     "tv_constrained_study": (["--k-max", "5"], 2),
     "toy_dynamics": ([], None),
+    "split_crossover": (["--blocks", "1", "--nx", "16", "--gradient-nx", "16"], 1),
 }
 
 
