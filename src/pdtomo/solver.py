@@ -7,16 +7,17 @@ for three problems built on the splitting min_x phi(A x):
   tvlsq:  phi(y) = 0.5 ||y_s - g||^2 + (beta/nu)||y_g||_1,  A = [X; nu D]
   tvclsq: phi(y) = 0.5 ||y_s - g||^2 + indicator(||y_g||_1 <= nu*gamma)
 
-The update has one body.  `cppd_step` applies it to a `SaddleState`,
-which carries the products A x and A^T lambda so that each step costs
-one forward and one adjoint apply, and rejects non-finite results;
-`run_cppd` applies it k_max times from zero under the cheaper
-image-norm divergence guard.  One metric function covers the
-splitting gap r_sigma = A x - y, the transversality residual
-r_tau = A^T lambda, image/data RMSE, the least-squares objective
-gradient, and the conditional primal-dual gap; gradient descent and
-CGLS baselines on the plain least-squares problem share its RMSE and
-gradient part.
+The update has one body; `cppd_step` applies it to a `SaddleState`,
+which carries A x and A^T lambda, and rejects non-finite results.  One
+loop, `_iterate`, runs it and the gradient-descent and CGLS baselines
+with one record policy, one divergence guard and CGLS's breakdown
+stop.  Applies per step, then per record: CP one A and one A^T, then
+one X^T (and one A for tvclsq with validate_prox); GD one X and one
+X^T, then none; CGLS one X and one X^T, then one of each again, as its
+recursive residual drifts; GD and CGLS add one X and one X^T at
+set-up.  One metric function covers r_sigma = ||A x - y||, r_tau =
+||A^T lambda||, image/data RMSE, the least-squares gradient and the
+conditional primal-dual gap; the baselines share its fit part.
 """
 
 from __future__ import annotations
@@ -361,6 +362,45 @@ class _DivergenceGuard:
                 )
 
 
+@dataclass
+class _LsqIterate:
+    """A GD or CGLS iterate x with what its next step reuses: GD's r = X x - g
+    and s = X^T r; CGLS's recursive r = g - X x, s, direction p, ||s||^2."""
+
+    x: np.ndarray
+    iteration: int
+    r: np.ndarray
+    s: np.ndarray
+    p: np.ndarray | None = None
+    gamma: float = 0.0
+
+
+def _iterate(state, k_max: int, record_stride: int, step, emit):
+    """Every solver's loop: up to k_max steps from `state` at iteration 0.
+    `step(state, recorded)` returns the next state, or None to stop at the
+    current one; `emit(state, prev)` returns the metrics of a state reached
+    from prev (None at iteration 0).  Each new x passes the divergence guard.
+    Metrics are recorded at 0, every record_stride-th and the last one reached."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    guard, record, prev = _DivergenceGuard(), ConvergenceRecord(), None
+    record.append(0, **emit(state, prev))
+    for k in range(1, k_max + 1):
+        recorded = k % record_stride == 0 or k == k_max
+        new = step(state, recorded)
+        if new is None:
+            break
+        guard.check(new.x, k)
+        prev, state = state, new
+        if recorded:
+            record.append(k, **emit(state, prev))
+    if record.iters[-1] != state.iteration:
+        record.append(state.iteration, **emit(state, prev))
+    return state, record
+
+
 def run_cppd(
     problem: ProblemSpec,
     plan: StepPlan,
@@ -369,47 +409,31 @@ def run_cppd(
     record_stride: int = 1,
     validate_prox: bool = False,
 ) -> tuple[SaddleState, ConvergenceRecord]:
-    """k_max primal-dual steps from zero, recording the metrics at
-    iteration 0, every record_stride-th iteration and the last.
-
-    With validate_prox=True a tvclsq dual update is cross-checked at
-    each recorded iteration against the exact sort-based l1-ball
-    projection and the residual recorded; a residual above its bound
-    raises RuntimeError.  Only the recorded states carry y; the
-    returned final state always does.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    """k_max primal-dual steps from zero; only recorded states carry y.
+    With validate_prox=True each recorded tvclsq dual update is checked
+    against the exact sort-based l1-ball projection, and its residual
+    recorded; a residual above its bound raises RuntimeError."""
     if problem.kind != "lsq" and np.ndim(plan.sigma):
         raise ValueError("the TV dual prox needs a scalar sigma")
     a_map = problem.operator()
     prox = make_prox(problem)
     inv_sigma = plan.sigma_reciprocal()
     check_prox = validate_prox and problem.kind == "tvclsq"
-    n, m = a_map.domain_dim, a_map.range_dim
-    zero_x, zero_lam = np.zeros(n), np.zeros(m)
+    zero_x, zero_lam = np.zeros(a_map.domain_dim), np.zeros(a_map.range_dim)
     state = SaddleState(zero_x, zero_lam, zero_x, zero_lam, ax=zero_lam, atl=zero_x)
-    guard = _DivergenceGuard()
-    record = ConvergenceRecord()
 
-    def emit(s: SaddleState, **extra):
-        record.append(
-            s.iteration,
+    def step(s: SaddleState, recorded: bool) -> SaddleState:
+        return _advance(s, plan, prox, a_map, inv_sigma if recorded else None)
+
+    def emit(s: SaddleState, prev: SaddleState | None) -> dict:
+        check = check_prox and prev is not None
+        return {
+            **(_prox_check(problem, prev, s, plan, a_map) if check else {}),
             **_pd_metrics(problem, s.x, s.lam, s.y, s.ax, s.atl, reference),
-            beta=s.beta if problem.kind == "tvclsq" else np.nan,
-            **extra,
-        )
+            "beta": s.beta if problem.kind == "tvclsq" else np.nan,
+        }
 
-    emit(state)
-    for k in range(1, k_max + 1):
-        prev = state
-        recorded = k % record_stride == 0 or k == k_max
-        state = _advance(prev, plan, prox, a_map, inv_sigma if recorded else None)
-        guard.check(state.x, k)
-        if recorded:
-            checked = _prox_check(problem, prev, state, plan, a_map) if check_prox else {}
-            emit(state, **checked)
-    return state, record
+    return _iterate(state, k_max, record_stride, step, emit)
 
 
 def run_gd_lsq(
@@ -421,36 +445,29 @@ def run_gd_lsq(
     record_stride: int = 1,
 ) -> tuple[SaddleState, ConvergenceRecord]:
     """Gradient descent f+ = f - (alpha/L^2) X^T (X f - g) from zero,
-    L an upper bound on ||X||.
-
-    Steps with alpha outside (0, 2) are allowed but flagged, since the
-    fixed-point iteration is then no longer a contraction.
-    """
+    L an upper bound on ||X||.  Steps with alpha outside (0, 2) are
+    allowed but flagged: the iteration is then no contraction."""
     if problem.kind != "lsq":
         raise ValueError("run_gd_lsq expects an lsq problem")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     if not 0 < alpha < 2:
         warnings.warn(
             f"gradient-descent relaxation alpha={alpha} outside (0, 2)", RuntimeWarning
         )
     x_map, g = problem.x_map, problem.g
-    step = alpha / L**2
-    x = np.zeros(x_map.domain_dim)
-    guard = _DivergenceGuard()
-    record = ConvergenceRecord()
-    resid = x_map(x) - g
-    grad = x_map.adjoint(resid)
-    record.append(0, **_fit_metrics(x, resid, grad, reference, problem.active))
-    for k in range(1, k_max + 1):
-        x = x - step * grad
-        guard.check(x, k)
+    rate = alpha / L**2
+
+    def fitted(x: np.ndarray, iteration: int) -> _LsqIterate:
         resid = x_map(x) - g
-        grad = x_map.adjoint(resid)
-        if k % record_stride == 0 or k == k_max:
-            record.append(k, **_fit_metrics(x, resid, grad, reference, problem.active))
-    state = SaddleState(x, np.zeros_like(g), x, None, k_max)
-    return state, record
+        return _LsqIterate(x, iteration, resid, x_map.adjoint(resid))
+
+    state, record = _iterate(
+        fitted(np.zeros(x_map.domain_dim), 0),
+        k_max,
+        record_stride,
+        lambda s, recorded: fitted(s.x - rate * s.s, s.iteration + 1),
+        lambda s, prev: _fit_metrics(s.x, s.r, s.s, reference, problem.active),
+    )
+    return SaddleState(state.x, np.zeros_like(g), state.x, None, state.iteration), record
 
 
 def run_cgls(
@@ -461,48 +478,31 @@ def run_cgls(
     active: np.ndarray | None = None,
     record_stride: int = 1,
 ) -> tuple[SaddleState, ConvergenceRecord]:
-    """CGLS on the normal equations, zero start, no preconditioning.
-
-    Stops cleanly at the current iterate on breakdown (zero search
-    direction or curvature); the last iterate is always recorded and
-    the state reports the iteration the loop stopped at.  The
-    residual-based metrics r_sigma, r_tau and the primal-dual gap are
-    undefined here and left empty.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    """CGLS on the normal equations, zero start, no preconditioning;
+    stops at the current iterate on breakdown (zero search direction or
+    curvature).  r_sigma, r_tau and the primal-dual gap are left empty."""
     g = np.asarray(g, dtype=float)
     x = np.zeros(operator.domain_dim)
     r = g - operator(x)
     s = operator.adjoint(r)
-    p = s.copy()
-    gamma = float(s @ s)
-    record = ConvergenceRecord()
 
-    def emit(iteration):
-        resid = operator(x) - g
-        grad = operator.adjoint(resid)
-        record.append(iteration, **_fit_metrics(x, resid, grad, reference, active))
-
-    emit(0)
-    done = 0
-    for k in range(1, k_max + 1):
-        q = operator(p)
+    def step(it: _LsqIterate, recorded: bool) -> _LsqIterate | None:
+        q = operator(it.p)
         delta = float(q @ q)
-        if delta == 0.0 or gamma == 0.0:
-            break
-        a_step = gamma / delta
-        x = x + a_step * p
-        r = r - a_step * q
+        if delta == 0.0 or it.gamma == 0.0:
+            return None
+        a_step = it.gamma / delta
+        r = it.r - a_step * q
         s = operator.adjoint(r)
-        gamma_new = float(s @ s)
-        b_step = gamma_new / gamma
-        gamma = gamma_new
-        p = s + b_step * p
-        done = k
-        if k % record_stride == 0:
-            emit(k)
-    if record.iters[-1] != done:
-        emit(done)
-    state = SaddleState(x, np.zeros_like(g), x, None, done)
-    return state, record
+        gamma = float(s @ s)
+        p = s + (gamma / it.gamma) * it.p
+        return _LsqIterate(it.x + a_step * it.p, it.iteration + 1, r, s, p, gamma)
+
+    def emit(it: _LsqIterate, prev) -> dict:
+        # X x - g afresh: the recursive residual r drifts from it
+        resid = operator(it.x) - g
+        return _fit_metrics(it.x, resid, operator.adjoint(resid), reference, active)
+
+    start = _LsqIterate(x, 0, r, s, s, float(s @ s))
+    state, record = _iterate(start, k_max, record_stride, step, emit)
+    return SaddleState(state.x, np.zeros_like(g), state.x, None, state.iteration), record

@@ -339,6 +339,26 @@ def test_sweep_validation():
         cli.sweep(cfg, "rho", [])
 
 
+def test_cppd_solves_go_through_the_cli_run_cppd_attribute(tmp_path, monkeypatch):
+    # the benchmark times each CP solve by wrapping `cli.run_cppd`, so every
+    # cppd run must look it up there once, and no other solver may call it
+    calls = []
+    run_cppd = cli.run_cppd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run_cppd(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_cppd", counted)
+    cli.run_experiment(tiny_cfg(tmp_path / "cp", k_max=10))
+    assert len(calls) == 1
+    cli.sweep(tiny_cfg(tmp_path / "sw", k_max=10), "rho", ["0.1", "0.3", "1.0"])
+    assert len(calls) == 4
+    for name in ("gd", "cgls"):
+        cli.run_experiment(tiny_cfg(tmp_path / name, solver=name, k_max=10))
+    assert len(calls) == 4
+
+
 # -- demos -------------------------------------------------------------------
 
 

@@ -682,6 +682,74 @@ def test_run_cppd_dispatch_and_kind_checks(tiny):
         run_gd_lsq(spec, 1.0, 0, L=tiny["L"])
 
 
+# -------------------------------------------------------- the runner loop
+
+# Each solver on an lsq problem, called as run(tiny, problem, k_max=...,
+# record_stride=...).
+RUNNERS = {
+    "cppd": lambda t, spec, **kw: run_cppd(spec, scalar_steps(t["L"]), **kw),
+    "gd": lambda t, spec, **kw: run_gd_lsq(spec, 1.0, L=t["L"], **kw),
+    "cgls": lambda t, spec, **kw: run_cgls(spec.x_map, spec.g, **kw),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(RUNNERS))
+def test_runners_reject_record_stride_below_one(tiny, solver):
+    with pytest.raises(ValueError, match="record_stride must be >= 1"):
+        RUNNERS[solver](tiny, lsq_problem(tiny), k_max=5, record_stride=0)
+
+
+@pytest.mark.parametrize("solver", sorted(RUNNERS))
+def test_runners_share_one_record_policy(tiny, solver):
+    # iteration 0, every stride-th iteration and the last one reached
+    spec = lsq_problem(tiny)
+    state, record = RUNNERS[solver](tiny, spec, k_max=10, record_stride=3)
+    assert record.iters == [0, 3, 6, 9, 10]
+    assert state.iteration == record.iters[-1]
+    state, record = RUNNERS[solver](tiny, spec, k_max=10, record_stride=20)
+    assert record.iters == [0, 10]
+    assert state.iteration == record.iters[-1]
+
+
+# (forward, adjoint) applies of X for k_max = 10 and record_stride = 3,
+# i.e. 5 records: CP one pair per step plus one X^T per record for the
+# gradient; GD one pair per step plus its start; CGLS one pair per
+# step, per record and at its start.
+APPLY_BUDGET = {"cppd": (10, 15), "gd": (11, 11), "cgls": (16, 16)}
+
+
+@pytest.mark.parametrize("solver", sorted(APPLY_BUDGET))
+def test_runner_apply_budget(tiny, solver):
+    x_map = tiny["x_map"]
+    calls = {"X": 0, "XT": 0}
+
+    def counted(name, fn):
+        def wrapper(v):
+            calls[name] += 1
+            return fn(v)
+
+        return wrapper
+
+    counting = LinearMap(
+        x_map.domain_dim,
+        x_map.range_dim,
+        counted("X", x_map),
+        counted("XT", x_map.adjoint),
+    )
+    spec = ProblemSpec(kind="lsq", x_map=counting, g=tiny["g"], active=tiny["active"])
+    _, record = RUNNERS[solver](tiny, spec, k_max=10, record_stride=3)
+    assert len(record.iters) == 5
+    assert (calls["X"], calls["XT"]) == APPLY_BUDGET[solver]
+
+
+def test_cgls_raises_on_nonfinite_iterate():
+    # X = 1e200 I overflows at the first step; the image goes NaN
+    huge = LinearMap(3, 3, lambda x: 1e200 * x, lambda y: 1e200 * y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="non-finite image norm at iteration 1"):
+            run_cgls(huge, np.full(3, 1e200), 3)
+
+
 # -------------------------------------------------------- convergence facts
 
 
