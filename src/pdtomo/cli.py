@@ -239,7 +239,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
         raise ConfigError("sweep needs at least one value")
     field_name, cast = _SWEEP_FIELDS[parameter]
     parsed = []
-    for raw in values:
+    for i, raw in enumerate(values):
+        # a stray comma would otherwise run a different sweep than typed
+        if not raw:
+            raise ConfigError(f"sweep value {i + 1} of {len(values)} is empty")
         try:
             parsed.append(cast(raw))
         except ValueError:
@@ -473,7 +476,7 @@ def main(argv=None) -> int:
                 f"final image RMSE {res['final_image_rmse']:.6e} -> {res['outdir']}"
             )
         elif args.command == "sweep":
-            values = [v for v in args.values.split(",") if v]
+            values = args.values.split(",")
             path = sweep(_load_cfg(args), args.param, values)
             print(f"sweep summary -> {path}")
         elif args.command == "demo":

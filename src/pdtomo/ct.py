@@ -7,6 +7,12 @@ traversal's entries in other columns are dropped before X is stored,
 together with an explicit transpose, as one sparse pair, so forward and
 adjoint are an exactly matched pair.
 
+Sparse pairs are stored as plain CSR arrays and applied by scipy's
+compiled CSR kernels (`scipy.sparse._sparsetools`).  That extension is
+loaded from its file on its own: importing the `scipy.sparse` package
+would add about 14 MB and 0.2 s to every process, for nothing the
+module uses.
+
 Conventions fixed here: images are row-major (ny, nx) arrays flattened
 C-order, pixel (ix, iy) covers a square of side `pixel_size` centered
 on a grid symmetric about the origin; the first view places the source
@@ -16,14 +22,14 @@ endpoint excluded.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .linop import LinearMap, Vector
 
@@ -253,6 +259,60 @@ def _siddon_views(grid: ImageGrid, geom: FanBeamGeometry):
         yield bins[ok], (iy * nx + ix)[ok].astype(np.int32), lengths[ok]
 
 
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, loaded from their file in scipy's
+    directory without importing scipy or scipy.sparse."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed; its compiled sparse kernels are needed")
+    where = os.path.join(scipy.submodule_search_locations[0], "sparse")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        "scipy.sparse._sparsetools"
+    )
+    if spec is None:
+        raise ImportError(f"scipy's compiled sparse kernels (_sparsetools) not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+@dataclass(frozen=True)
+class _CSR:
+    """A stored sparse matrix in CSR arrays, as scipy's kernels take them:
+    row i holds columns indices[indptr[i]:indptr[i+1]] with values data[...]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+def _index_dtype(nnz: int, shape: tuple[int, int]):
+    """int32 when the entry count and both dimensions fit, else int64:
+    the index type scipy's CSR constructor picks."""
+    return np.int32 if max(nnz, *shape) <= np.iinfo(np.int32).max else np.int64
+
+
+def _transpose(mat: _CSR) -> _CSR:
+    """mat^T stored as CSR, through the one kernel call of scipy's
+    `mat.T.tocsr()`; columns ascend within each row."""
+    n_rows, n_cols = mat.shape
+    indptr = np.empty(n_cols + 1, dtype=mat.indptr.dtype)
+    indices = np.empty(mat.nnz, dtype=mat.indices.dtype)
+    data = np.empty(mat.nnz, dtype=mat.data.dtype)
+    _sparsetools.csr_tocsc(
+        n_rows, n_cols, mat.indptr, mat.indices, mat.data, indptr, indices, data
+    )
+    return _CSR(indptr, indices, data, (n_cols, n_rows))
+
+
 @lru_cache(maxsize=8)
 def _system_matrices(grid: ImageGrid, geom: FanBeamGeometry):
     """Cached CSR pair (X, X^T) of the FOV-restricted system matrix.
@@ -281,11 +341,16 @@ def _system_matrices(grid: ImageGrid, geom: FanBeamGeometry):
     # no view of either array is left, so they can shrink in place
     indices.resize(nnz, refcheck=False)
     data.resize(nnz, refcheck=False)
-    mat = sp.csr_matrix((data, indices, indptr), shape=(geom.n_rays, grid.n))
+    shape = (geom.n_rays, grid.n)
+    idx = _index_dtype(nnz, shape)
+    indptr, indices = indptr.astype(idx, copy=False), indices.astype(idx, copy=False)
     # sorts each ray's entries into pixel order in place (and would sum a
     # pixel met twice), as scipy's COO conversion does
-    mat.sum_duplicates()
-    return mat, mat.T.tocsr()
+    _sparsetools.csr_sort_indices(shape[0], indptr, indices, data)
+    _sparsetools.csr_sum_duplicates(shape[0], shape[1], indptr, indices, data)
+    nnz = int(indptr[-1])
+    mat = _CSR(indptr, indices[:nnz], data[:nnz], shape)
+    return mat, _transpose(mat)
 
 
 # A stored CSR matrix with at least this many entries is applied as two
@@ -295,7 +360,7 @@ def _system_matrices(grid: ImageGrid, geom: FanBeamGeometry):
 SPLIT_NNZ = 200_000
 
 
-def _matvec_rows(mat: sp.csr_matrix, x, out, lo: int, hi: int) -> None:
+def _matvec_rows(mat: _CSR, x, out, lo: int, hi: int) -> None:
     """Add rows [lo, hi) of mat @ x to out[lo:hi].
 
     This is scipy's own CSR kernel, the one behind `mat @ x`, called
@@ -359,7 +424,7 @@ class _Helper:
         if interrupt is not None:
             raise interrupt
 
-    def product(self, mat: sp.csr_matrix, cut: int, x):
+    def product(self, mat: _CSR, cut: int, x):
         """mat @ x into one zeroed output, rows [0, cut) here and the
         rest on the helper; in one piece when that rest is empty or
         another caller holds the helper."""
@@ -406,7 +471,7 @@ def _allowed_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _product(mat: sp.csr_matrix):
+def _product(mat: _CSR):
     """x -> mat @ x; split in row halves across two threads, cut at the
     row holding the middle stored entry, when `mat` has at least
     SPLIT_NNZ entries and the process may use 2 CPUs.
@@ -420,7 +485,7 @@ def _product(mat: sp.csr_matrix):
     return lambda x: _HELPER.product(mat, cut, x)
 
 
-def _pair_map(pair: tuple[sp.csr_matrix, sp.csr_matrix], label: str) -> LinearMap:
+def _pair_map(pair: tuple[_CSR, _CSR], label: str) -> LinearMap:
     """Matched map over a stored CSR pair (A, A^T)."""
     mat, mat_t = pair
     return LinearMap(mat.shape[1], mat.shape[0], _product(mat), _product(mat_t), label=label)
@@ -434,15 +499,23 @@ def projector(grid: ImageGrid, geom: FanBeamGeometry) -> LinearMap:
 @lru_cache(maxsize=8)
 def _gradient_matrices(nx: int):
     """Cached CSR pair (D, D^T) of the forward-difference gradient on an
-    nx x nx grid, built from the 1D difference matrix d (last row zero)."""
-    d = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx))
-    d = sp.vstack([d, sp.csr_matrix((1, nx))])
-    eye = sp.identity(nx)
-    # "csr" keeps kron off its block path, which stores zeros for small nx
-    horiz = sp.kron(eye, d, format="csr")
-    vert = sp.kron(d, eye, format="csr")
-    mat = sp.vstack([horiz, vert], format="csr")
-    return mat, mat.T.tocsr()
+    nx x nx grid.  Horizontal row r holds -1 at pixel r and +1 at r + 1,
+    vertical row n + r holds -1 at r and +1 at r + nx; the rows of the
+    last column and of the last row are empty."""
+    n = nx * nx
+    pix = np.arange(n)
+    has_right = pix % nx < nx - 1
+    has_below = pix < n - nx
+    first = np.concatenate([pix[has_right], pix[has_below]])
+    second = np.concatenate([pix[has_right] + 1, pix[has_below] + nx])
+    shape = (2 * n, n)
+    idx = _index_dtype(2 * first.size, shape)
+    indptr = np.zeros(2 * n + 1, dtype=idx)
+    np.cumsum(2 * np.concatenate([has_right, has_below]), out=indptr[1:])
+    indices = np.stack([first, second], axis=1).ravel().astype(idx)
+    data = np.tile([-1.0, 1.0], first.size)
+    mat = _CSR(indptr, indices, data, shape)
+    return mat, _transpose(mat)
 
 
 def gradient(grid: ImageGrid) -> LinearMap:

@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# loaded with the module, not in a run's timed [phantom] stage: generate
+# needs default_rng, and np.percentile reaches numpy.ma through np.unique
+import numpy.ma
+import numpy.random
 
 from .ct import ImageGrid, fov_active, gradient
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# loaded with the module, not inside a timed stage: _lanczos needs default_rng
+import numpy.random
 
 from .linop import LinearMap, Vector, scaled
 

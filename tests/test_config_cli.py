@@ -753,6 +753,10 @@ SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
     [
         ("sweep", (), ["--param", "rho", "--values", "0.5,abc"], "'abc' as float"),
         ("sweep", (), ["--param", "K", "--values", "2.5"], "'2.5' as int"),
+        # an empty entry is a typo, not a value to skip
+        ("sweep", (), ["--param", "rho", "--values", "0.1,,0.2"], "sweep value 2 of 3 is empty"),
+        ("sweep", (), ["--param", "rho", "--values", "0.1,0.2,"], "sweep value 3 of 3 is empty"),
+        ("sweep", (), ["--param", "rho", "--values", ",0.1"], "sweep value 1 of 2 is empty"),
         ("run", ("problem=tvlsq", "beta=-0.1"), [], "beta must be nonnegative"),
         ("run", ("nx=4", "plan=lowrank", "k_eigs=50"), [], "k_eigs must be in [1, nx*nx = 16]"),
         # eigenvector smoothing is gone; manifests replay only at its 0
@@ -788,6 +792,9 @@ SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
     ids=[
         "sweep-rho-abc",
         "sweep-K-2.5",
+        "sweep-rho-empty-middle",
+        "sweep-rho-trailing-comma",
+        "sweep-rho-leading-comma",
         "beta-negative",
         "k_eigs-above-nx2",
         "blur-negative",
@@ -1013,17 +1020,22 @@ def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):
     # scipy.sparse.linalg pulls in scipy.linalg, several MB resident that
     # the numpy Lanczos engine does not need, low-rank plans included;
     # only ct.gaussian_smooth loads scipy.ndimage, and no run calls it;
-    # no run needs the process pool either
+    # no run needs the process pool either; ct loads scipy's compiled
+    # sparse kernels alone, and not the scipy.sparse package, whose
+    # import chain (scipy._lib, numpy.f2py, ...) adds about 14 MB
     tv = ["--set", "problem=tvclsq", "-o", str(tmp_path / "tv")]
     lowrank = ["--set", "plan=lowrank", "--set", "k_eigs=3",
                "--set", f"cache_dir={tmp_path / 'cache'}", "-o", str(tmp_path / "lr")]
     script = f"""
 import sys
 from pdtomo import cli
+# loaded by the import, so the timed [phantom] stage loads neither
+assert "numpy.random" in sys.modules and "numpy.ma" in sys.modules
 common = ["--set", "nx=16", "--set", "geometry=desk-sparse", "--set", "k_max=5"]
 for extra in ({tv!r}, {lowrank!r}):
     assert cli.main(["run", *common, *extra]) == 0
-unused = ("scipy.sparse.linalg", "scipy.linalg", "scipy.ndimage", "concurrent.futures.process")
+unused = ("scipy.sparse.linalg", "scipy.linalg", "scipy.ndimage", "concurrent.futures.process",
+          "scipy.sparse", "scipy._lib", "numpy.f2py")
 print(sorted(m for m in unused if m in sys.modules))
 """
     src = Path(cli.__file__).resolve().parents[1]

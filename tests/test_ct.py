@@ -1,8 +1,11 @@
 """Fan-beam projector over the FOV pixels, gradient, and smoothing operators."""
 
 import ast
+import importlib.machinery
 import os
+import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -143,6 +146,39 @@ def siddon_dense(grid, geom):
     return dense
 
 
+def as_scipy(mat):
+    """A stored CSR matrix as a scipy matrix over the same arrays, so
+    scipy's `@` and conversions can serve as the reference."""
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+
+
+def csr_entries(mat):
+    """(row, column, value) of every stored entry, in stored order."""
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices, mat.data
+
+
+def assert_canonical(mat):
+    """A stored CSR matrix whose columns strictly increase within every
+    row and whose arrays hold exactly nnz entries."""
+    assert isinstance(mat, ct._CSR)
+    assert mat.indptr.size == mat.shape[0] + 1 and mat.indptr[0] == 0
+    assert mat.nnz == mat.indices.size == mat.data.size
+    rows, cols, _ = csr_entries(mat)
+    same_row = rows[1:] == rows[:-1]
+    assert np.all(np.diff(cols)[same_row] > 0)
+    assert np.all((0 <= cols) & (cols < mat.shape[1]))
+
+
+def assert_stored_transpose(mat, mat_t):
+    """mat_t holds exactly mat's entries transposed, entry for entry."""
+    assert mat_t.shape == mat.shape[::-1]
+    rows, cols, vals = csr_entries(mat)
+    order = np.lexsort((rows, cols))
+    rows_t, cols_t, vals_t = csr_entries(mat_t)
+    assert np.array_equal(rows_t, cols[order]) and np.array_equal(cols_t, rows[order])
+    assert np.array_equal(vals_t, vals[order])
+
+
 def test_project_zero_image():
     grid = ImageGrid(8, 8, 18.0)
     geom = build_geometry("desk-sparse", n_views=2, n_bins=4)
@@ -243,8 +279,8 @@ def test_system_matrix_holds_only_fov_columns(nx, preset):
     # the stored X has no entry in a column outside the FOV, and X^T is
     # an explicit CSR equal to X.T
     assert mat.nnz > 0 and np.all(active[mat.indices])
-    assert mat_t.format == "csr"
-    assert (mat_t != mat.T).nnz == 0
+    assert_canonical(mat_t)
+    assert_stored_transpose(mat, mat_t)
     # forward and adjoint equal the full-grid traversal matrix X_grid
     # with the 0/1 FOV mask M applied, X_grid (M x) and M (X_grid^T y),
     # bit for bit
@@ -295,12 +331,7 @@ def test_streamed_build_is_canonical_int32(nx, preset, fields):
     assert np.unique(pairs).size == pairs.size
     mat, _ = _system_matrices(grid, geom)
     assert mat.indices.dtype == np.int32
-    # strictly increasing columns within every row, checked from the
-    # arrays rather than from scipy's format flag
-    row_of = np.repeat(np.arange(geom.n_rays), np.diff(mat.indptr))
-    same_row = row_of[1:] == row_of[:-1]
-    assert np.all(np.diff(mat.indices)[same_row] > 0)
-    assert mat.indptr[0] == 0 and mat.indptr[-1] == mat.nnz == mat.indices.size
+    assert_canonical(mat)
 
 
 def test_streamed_build_peak_memory_near_stored_pair():
@@ -363,21 +394,90 @@ def test_row_range_kernel_equals_scipy_product(index_dtype, rng):
 
 
 def test_only_the_row_range_function_touches_the_private_kernel():
+    # scipy's private kernels are pinned call by call: the product only in
+    # the row-range function, the sort and the duplicate sum only in X's
+    # build, the CSR -> CSC conversion only in the transpose helper
+    pinned = {
+        "_matvec_rows": {"csr_matvec"},
+        "_system_matrices": {"csr_sort_indices", "csr_sum_duplicates"},
+        "_transpose": {"csr_tocsc"},
+    }
+
     def uses(node):
         return sum(
             "_sparsetools" in (getattr(n, "id", None), getattr(n, "attr", None))
             for n in ast.walk(node)
         )
 
+    def kernels(node):
+        return [
+            n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "_sparsetools"
+        ]
+
     for path in sorted(Path(ct.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and uses(f)]
         if path.name != "ct.py":
             assert uses(tree) == 0, path.name
             continue
-        # every use outside the import sits in this one function
-        assert [f.name for f in funcs] == ["_matvec_rows"]
-        assert uses(tree) == uses(funcs[0])
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and uses(f)]
+        assert {f.name: set(kernels(f)) for f in funcs} == pinned
+        # every use in those functions is a kernel call, and they are all
+        # top-level functions
+        assert all(uses(f) == len(kernels(f)) and f in tree.body for f in funcs)
+        # the one use outside them is the loader's result at module level
+        outside = [ast.unparse(stmt) for stmt in tree.body if uses(stmt) and stmt not in funcs]
+        assert outside == ["_sparsetools = _load_sparsetools()"]
+
+
+def run_python(code):
+    """stdout of `code` run by a fresh interpreter that imports this
+    checkout's pdtomo."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ct.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout.split()
+
+
+def test_kernels_are_scipys_own_file_loaded_without_scipy_sparse():
+    ours = run_python(
+        "import sys; from pdtomo import ct; "
+        "print(ct._sparsetools.__file__, 'scipy.sparse' in sys.modules, 'scipy' in sys.modules)"
+    )
+    scipys = run_python("import scipy.sparse._sparsetools as m; print(m.__file__)")
+    assert ours == [scipys[0], "False", "False"]
+
+
+def test_products_stay_bit_equal_beside_scipy_sparse(monkeypatch, rng):
+    # this process imports scipy.sparse too, after pdtomo.ct has loaded
+    # the kernels on its own; both splits are exercised
+    assert "scipy.sparse" in sys.modules
+    monkeypatch.setattr(ct, "_allowed_cpus", lambda: 2)
+    grid = ImageGrid(64, 64, 18.0)
+    pairs = [
+        (projector(grid, build_geometry(p)), _system_matrices(grid, build_geometry(p)))
+        for p in ("desk-sparse", "desk-oversampled")
+    ]
+    pairs.append((gradient(grid), _gradient_matrices(grid.nx)))
+    for map_, (mat, mat_t) in pairs:
+        x, y = rng.standard_normal(map_.domain_dim), rng.standard_normal(map_.range_dim)
+        assert np.array_equal(bounded(map_, x), as_scipy(mat) @ x)
+        assert np.array_equal(bounded(map_.adjoint, y), as_scipy(mat_t) @ y)
+
+
+def test_missing_kernel_file_is_an_import_error_naming_the_directory(tmp_path, monkeypatch):
+    (tmp_path / "sparse").mkdir()
+    (tmp_path / "sparse" / "_sparsetools.py").write_text("")
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(ct.importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "sparse"))):
+        ct._load_sparsetools()
+    monkeypatch.setattr(ct.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        ct._load_sparsetools()
 
 
 # Longest a test waits on the helper; a deadlock fails the test instead
@@ -452,7 +552,7 @@ def test_split_product_is_bit_equal_for_desk_oversampled(
             x = rng.standard_normal(mat.shape[1])
             calls.clear()
             y = bounded(product, x)
-            assert np.array_equal(y, mat @ x)
+            assert np.array_equal(y, as_scipy(mat) @ x)
             # two row halves into the returned output, cut at the row of
             # the middle entry
             (out_a, lo_a, cut), (out_b, cut_b, end) = sorted(calls, key=lambda c: c[1])
@@ -462,8 +562,8 @@ def test_split_product_is_bit_equal_for_desk_oversampled(
     x_map = projector(ImageGrid(64, 64, 18.0), build_geometry("desk-oversampled"))
     mat, mat_t = oversampled_pair
     x, y = rng.standard_normal(x_map.domain_dim), rng.standard_normal(x_map.range_dim)
-    assert np.array_equal(bounded(x_map, x), mat @ x)
-    assert np.array_equal(bounded(x_map.adjoint, y), mat_t @ y)
+    assert np.array_equal(bounded(x_map, x), as_scipy(mat) @ x)
+    assert np.array_equal(bounded(x_map.adjoint, y), as_scipy(mat_t) @ y)
     assert fresh_helper._thread is not None
 
 
@@ -515,7 +615,7 @@ def test_helper_exception_reaches_caller(oversampled_pair, fresh_helper, split, 
     assert ran_on == ["pdtomo-csr-half"]
     # the helper serves the next product, correctly
     monkeypatch.setattr(ct, "_matvec_rows", real)
-    assert np.array_equal(bounded(product, x), mat @ x)
+    assert np.array_equal(bounded(product, x), as_scipy(mat) @ x)
 
 
 def test_caller_failure_waits_for_the_helper_half(
@@ -561,7 +661,7 @@ def test_caller_failure_waits_for_the_helper_half(
     monkeypatch.setattr(ct, "_matvec_rows", real)
     for _ in range(3):
         x = rng.standard_normal(mat.shape[1])
-        assert np.array_equal(bounded(product, x), mat @ x)
+        assert np.array_equal(bounded(product, x), as_scipy(mat) @ x)
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
@@ -606,7 +706,7 @@ def test_interrupted_wait_still_waits_for_the_helper_half(
     assert events == ["helper half ended"]
     monkeypatch.setattr(ct, "_matvec_rows", real)
     x = rng.standard_normal(mat.shape[1])
-    assert np.array_equal(bounded(product, x), mat @ x)
+    assert np.array_equal(bounded(product, x), as_scipy(mat) @ x)
 
 
 def test_busy_helper_gives_a_one_piece_product(
@@ -627,7 +727,7 @@ def test_busy_helper_gives_a_one_piece_product(
             assert started.wait(WAIT_S)
             # a second product meets the helper busy and runs in one piece
             inner = rng.standard_normal(mat.shape[1])
-            assert np.array_equal(product(inner), mat @ inner)
+            assert np.array_equal(product(inner), as_scipy(mat) @ inner)
             release.set()
         else:
             wholes.append(threading.current_thread().name)
@@ -635,25 +735,25 @@ def test_busy_helper_gives_a_one_piece_product(
 
     monkeypatch.setattr(ct, "_matvec_rows", rows)
     x = rng.standard_normal(mat.shape[1])
-    assert np.array_equal(bounded(product, x), mat @ x)
+    assert np.array_equal(bounded(product, x), as_scipy(mat) @ x)
     assert len(wholes) == 1 and wholes[0] != "pdtomo-csr-half"
 
 
 def test_concurrent_callers_share_the_helper_safely(oversampled_pair, split):
-    products = {id(mat): split(mat) for mat in oversampled_pair}
     inputs_rng = np.random.default_rng(5)
-    inputs = [
-        (mat, inputs_rng.standard_normal(mat.shape[1]))
-        for mat in oversampled_pair
-        for _ in range(4)
-    ]
-    wrong = []
+    inputs = []
+    for mat in oversampled_pair:
+        for _ in range(4):
+            x = inputs_rng.standard_normal(mat.shape[1])
+            inputs.append((split(mat), x, as_scipy(mat) @ x))
+    wrong, finished = [], []
 
     def caller(k):
         for i in range(40):
-            mat, x = inputs[(k + i) % len(inputs)]
-            if not np.array_equal(products[id(mat)](x), mat @ x):
+            product, x, expected = inputs[(k + i) % len(inputs)]
+            if not np.array_equal(product(x), expected):
                 wrong.append((k, i))
+        finished.append(k)
 
     # more callers than CPUs, switching threads as often as possible
     previous = sys.getswitchinterval()
@@ -667,7 +767,7 @@ def test_concurrent_callers_share_the_helper_safely(oversampled_pair, split):
     finally:
         sys.setswitchinterval(previous)
     assert not any(thread.is_alive() for thread in callers)
-    assert wrong == []
+    assert wrong == [] and sorted(finished) == list(range(6))
 
 
 def test_products_below_the_floor_start_no_thread(fresh_helper, rng):
@@ -687,8 +787,8 @@ def test_one_allowed_cpu_gives_one_piece_products(oversampled_pair, fresh_helper
     x_map = projector(ImageGrid(64, 64, 18.0), build_geometry("desk-oversampled"))
     mat, mat_t = oversampled_pair
     x, y = rng.standard_normal(x_map.domain_dim), rng.standard_normal(x_map.range_dim)
-    assert np.array_equal(bounded(x_map, x), mat @ x)
-    assert np.array_equal(bounded(x_map.adjoint, y), mat_t @ y)
+    assert np.array_equal(bounded(x_map, x), as_scipy(mat) @ x)
+    assert np.array_equal(bounded(x_map.adjoint, y), as_scipy(mat_t) @ y)
     assert fresh_helper._thread is None
 
 
@@ -705,7 +805,7 @@ def test_forked_child_products_stay_bit_equal(oversampled_pair, fresh_helper, sp
         # the child inherits the helper object but not its thread
         code = 1
         try:
-            same = [np.array_equal(product(x), mat @ x) for _ in range(3)]
+            same = [np.array_equal(product(x), as_scipy(mat) @ x) for _ in range(3)]
             code = 0 if all(same) else 1
         finally:
             os._exit(code)
@@ -763,14 +863,35 @@ def test_gradient_adjoint_is_exact_transpose():
     assert adjoint_dot_test(d_map, trials=100) <= 1e-12
 
 
-@pytest.mark.parametrize("nx", [2, 3, 16, 64])
+def kron_gradient(nx):
+    """D as scipy builds it: kron(I, d) over kron(d, I), d the nx x nx
+    forward-difference matrix whose last row is zero."""
+    d = sp.diags([-1.0, 1.0], [0, 1], shape=(nx - 1, nx))
+    d = sp.vstack([d, sp.csr_matrix((1, nx))])
+    eye = sp.identity(nx)
+    # "csr" keeps kron off its block path, which stores zeros for small nx
+    horiz = sp.kron(eye, d, format="csr")
+    vert = sp.kron(d, eye, format="csr")
+    return sp.vstack([horiz, vert], format="csr")
+
+
+@pytest.mark.parametrize("nx", [1, 2, 3, 16, 64])
 def test_gradient_matches_slice_differences(nx):
     grid = ImageGrid(nx, nx, 1.0)
     d_map = gradient(grid)
     mat, mat_t = _gradient_matrices(nx)
+    # the stored pair holds the arrays and index types of the kron
+    # construction and of its transpose
+    ref = kron_gradient(nx)
+    for got, want in ((mat, ref), (mat_t, ref.T.tocsr())):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
     # stored entries are the nonzeros, in canonical CSR order
     for m in (mat, mat_t):
-        assert m.format == "csr" and m.has_canonical_format and np.all(m.data != 0)
+        assert_canonical(m)
+        assert np.all(m.data != 0)
     rng = np.random.default_rng(nx)
     for _ in range(3):
         f = rng.standard_normal(grid.n)
@@ -781,7 +902,7 @@ def test_gradient_matches_slice_differences(nx):
             d_map.adjoint(p), gradient_adjoint_by_slices(p, nx), rtol=0, atol=1e-14
         )
     # the stored adjoint is the forward's transpose, entry for entry
-    assert (mat_t != mat.T).nnz == 0
+    assert_stored_transpose(mat, mat_t)
     # and the map applies it: checked densely where D fits under the cap
     if 2 * grid.n * grid.n <= DENSE_CAP:
         d_t = LinearMap(2 * grid.n, grid.n, d_map.adjoint, d_map, label="D^T")
