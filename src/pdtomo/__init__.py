@@ -9,7 +9,6 @@ from .ct import (
     Sinogram,
     build_geometry,
     fov_active,
-    gaussian_smooth,
     gradient,
     projector,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Sinogram",
     "build_geometry",
     "fov_active",
-    "gaussian_smooth",
     "gradient",
     "projector",
     "Grid1D",

@@ -259,10 +259,11 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
         need = "solver = cppd" + (" and plan = lowrank" if parameter == "K" else "")
         raise ConfigError(f"a {parameter} sweep needs {need}")
     parent = Path(cfg.outdir)
-    runs = [
-        (value, replace(cfg, **{field_name: value}, outdir=str(parent / f"{parameter}_{value}")))
-        for value in parsed
-    ]
+    runs = []
+    for value in parsed:
+        # an empty outdir stays empty, so every run's validate rejects it
+        outdir = cfg.outdir and str(parent / f"{parameter}_{value}")
+        runs.append((value, replace(cfg, **{field_name: value}, outdir=outdir)))
     # a value whose config is invalid is a failed row, but a config error
     # that no swept value fixes ends the sweep before anything is written
     errors = []
@@ -372,6 +373,8 @@ def demo(name: str, outdir) -> list[Path]:
     """Write the CSV artifacts of one named demonstration."""
     if name not in DEMOS:
         raise ConfigError(f"unknown demo {name!r}; choose from {', '.join(DEMOS)}")
+    if not outdir:
+        raise ConfigError("outdir must name a directory, got an empty value")
     return DEMOS[name](ensure_dir(outdir))
 
 
@@ -425,7 +428,7 @@ def _load_cfg(args) -> ExperimentConfig:
         cfg = load_config(args.config, cfg)
     if args.set:
         cfg = apply_overrides(cfg, args.set)
-    if args.outdir:
+    if args.outdir is not None:
         cfg = replace(cfg, outdir=args.outdir)
     return cfg
 

@@ -111,6 +111,10 @@ class ExperimentConfig:
             raise ConfigError("beta must be nonnegative")
         if self.problem == "tvclsq" and "gamma" in floats and not floats["gamma"] > 0:
             raise ConfigError("gamma must be positive")
+        # an empty path would put the run's files in the working directory
+        for name in ("outdir", "cache_dir"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must name a directory, got an empty value")
         # the manifest must replay this run
         for f in fields(self):
             value = getattr(self, f.name)

@@ -31,7 +31,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 
 import numpy as np
 
-from .linop import LinearMap, Vector
+from .linop import LinearMap
 
 # Segments shorter than this fraction of the ray parameter are corner
 # grazes and are dropped.
@@ -114,9 +114,6 @@ class Sinogram:
                 f"sinogram length {self.values.size} does not match "
                 f"{self.geometry.n_views} views x {self.geometry.n_bins} bins"
             )
-
-    def as_views(self) -> np.ndarray:
-        return self.values.reshape(self.geometry.n_views, self.geometry.n_bins)
 
 
 # Diameter (cm) of the FOV every preset's fan covers; the CLI's image
@@ -532,32 +529,3 @@ def gradient_norm(grid: ImageGrid) -> float:
     """||D||_2 in closed form: D^T D is the Kronecker sum of two 1D Neumann
     Laplacians, each with top eigenvalue 4 sin^2(pi (nx - 1) / (2 nx))."""
     return 2.0 * np.sqrt(2.0) * np.sin(np.pi * (grid.nx - 1) / (2 * grid.nx))
-
-
-def gaussian_kernel(width_pixels: float) -> np.ndarray:
-    """Normalized Gaussian taps truncated at four widths (odd length)."""
-    if width_pixels <= 0:
-        raise ValueError("width must be positive")
-    radius = int(np.floor(4.0 * width_pixels))
-    if radius < 1:
-        return np.array([1.0])
-    offsets = np.arange(-radius, radius + 1)
-    k = np.exp(-0.5 * (offsets / width_pixels) ** 2)
-    return k / k.sum()
-
-
-def gaussian_smooth(grid: ImageGrid, width_pixels: float) -> LinearMap:
-    """Separable Gaussian blur with zero padding; symmetric (S = S^T)."""
-    # imported here: no run calls this, so no run loads scipy.ndimage
-    from scipy.ndimage import convolve1d
-
-    k = gaussian_kernel(width_pixels)
-    nx, ny = grid.nx, grid.ny
-
-    def smooth(f: Vector) -> Vector:
-        img = f.reshape(ny, nx)
-        img = convolve1d(img, k, axis=0, mode="constant", cval=0.0)
-        img = convolve1d(img, k, axis=1, mode="constant", cval=0.0)
-        return img.ravel()
-
-    return LinearMap(grid.n, grid.n, smooth, smooth, label="S_blur")

@@ -57,33 +57,25 @@ class LinearMap:
         return (self.range_dim, self.domain_dim)
 
     def __call__(self, x: Vector) -> Vector:
-        return apply(self, x)
+        """Apply the forward map, checking the input length."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.domain_dim,):
+            raise ValueError(
+                f"{self.label}: expected input of length {self.domain_dim}, got {x.shape}"
+            )
+        return np.asarray(self._forward(x), dtype=float)
 
     def adjoint(self, y: Vector) -> Vector:
-        return apply_adjoint(self, y)
+        """Apply the adjoint map, checking the input length."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.range_dim,):
+            raise ValueError(
+                f"{self.label}: expected adjoint input of length {self.range_dim}, got {y.shape}"
+            )
+        return np.asarray(self._adjoint(y), dtype=float)
 
     def __repr__(self) -> str:
         return f"LinearMap({self.label}, {self.range_dim}x{self.domain_dim})"
-
-
-def apply(map_: LinearMap, x: Vector) -> Vector:
-    """Apply the forward map, checking the input length."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (map_.domain_dim,):
-        raise ValueError(
-            f"{map_.label}: expected input of length {map_.domain_dim}, got {x.shape}"
-        )
-    return np.asarray(map_._forward(x), dtype=float)
-
-
-def apply_adjoint(map_: LinearMap, y: Vector) -> Vector:
-    """Apply the adjoint map, checking the input length."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (map_.range_dim,):
-        raise ValueError(
-            f"{map_.label}: expected adjoint input of length {map_.range_dim}, got {y.shape}"
-        )
-    return np.asarray(map_._adjoint(y), dtype=float)
 
 
 def stack(blocks: Sequence[tuple[float, LinearMap]], label: str = "stack") -> LinearMap:

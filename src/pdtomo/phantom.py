@@ -48,10 +48,6 @@ class Phantom:
         """Anisotropic total variation ||D image||_1, recomputed on access."""
         return phantom_tv(self)
 
-    @property
-    def dynamic_range(self) -> float:
-        return float(self.image.max() - self.image.min())
-
 
 def generate(grid: ImageGrid, seed: int = 0) -> Phantom:
     """Deterministic phantom for a given (grid, seed) pair.

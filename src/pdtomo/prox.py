@@ -96,14 +96,6 @@ def default_l1_tol(v: Vector) -> float:
     return L1_TOL_SCALE * max(1.0, float(np.abs(v).sum()))
 
 
-def _l1_norm_checked(a: np.ndarray) -> float:
-    """sum(a) for a = |v|; a non-finite v is an error."""
-    total = float(a.sum())
-    if not np.isfinite(total):
-        raise ValueError("cannot project a non-finite vector")
-    return total
-
-
 def _l1_threshold(a: np.ndarray, total: float, r: float, hint: float = 0.0) -> float:
     """Threshold beta >= 0 with sum(max(a - beta, 0)) = r, for a >= 0
     with sum(a) = total > r > 0.
@@ -153,19 +145,12 @@ def _l1_threshold(a: np.ndarray, total: float, r: float, hint: float = 0.0) -> f
 def project_l1_ball(v: Vector, r: float) -> ProxResult:
     """Exact Euclidean projection onto the l1 ball of radius r.
 
-    The result is shrink(v, beta), with the threshold beta found in a
-    few passes by `_l1_threshold`.  Inputs already inside the ball
-    return unchanged with beta = 0.
+    By Moreau's identity this is v minus `prox_tvc_conjugate(v, r)`,
+    which equals shrink(v, beta) with that prox's threshold beta.
+    Inputs already inside the ball return unchanged with beta = 0.
     """
-    v = np.asarray(v, dtype=float)
-    if not r > 0:
-        raise ValueError("ball radius must be positive")
-    a = np.abs(v)
-    total = _l1_norm_checked(a)
-    if total <= r:
-        return ProxResult(v.copy(), aux=0.0)
-    beta = _l1_threshold(a, total, r)
-    return ProxResult(shrink(v, beta), aux=beta)
+    res = prox_tvc_conjugate(v, r)
+    return ProxResult(v - res.value, aux=res.aux)
 
 
 def project_l1_ball_sorted(v: Vector, r: float) -> ProxResult:
@@ -204,7 +189,9 @@ def prox_tvc_conjugate(lam_g: Vector, radius: float, hint: float = 0.0) -> ProxR
         raise ValueError("ball radius must be positive")
     lam_g = np.asarray(lam_g, dtype=float)
     a = np.abs(lam_g)
-    total = _l1_norm_checked(a)
+    total = float(a.sum())
+    if not np.isfinite(total):
+        raise ValueError("cannot project a non-finite vector")
     if total <= radius:
         return ProxResult(np.zeros_like(lam_g), aux=0.0)
     beta = _l1_threshold(a, total, radius, hint)

@@ -1,5 +1,6 @@
 """Config parsing, validation, and the batch CLI pipeline."""
 
+import ast
 import csv
 import os
 import subprocess
@@ -161,6 +162,34 @@ def test_run_with_hash_in_set_outdir_writes_there(tmp_path, monkeypatch, capsys)
     assert cli.main([*args, "--set", "outdir=o #3"]) == 1
     assert "cannot be written to a manifest" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["o#2", "out#1"]
+
+
+@pytest.mark.parametrize("key", ["outdir", "cache_dir"])
+def test_validate_rejects_an_empty_path(key):
+    with pytest.raises(ConfigError, match=f"{key} must name a directory"):
+        replace(ExperimentConfig(), **{key: ""}).validate()
+
+
+def test_empty_output_paths_stop_every_command_before_it_writes(tmp_path, monkeypatch, capsys):
+    # an empty outdir or cache_dir would put the files in the working
+    # directory, and an empty -o must not fall back to the config's outdir
+    monkeypatch.chdir(tmp_path)
+    small = ["--set", "nx=16", "--set", "geometry=desk-sparse", "--set", "k_max=3"]
+    lowrank = [*small, "--set", "plan=lowrank", "--set", "k_eigs=2"]
+    sweep = ["--param", "rho", "--values", "0.5,1"]
+    for key, args in (
+        ("outdir", ["run", *small, "--set", "outdir="]),
+        ("outdir", ["run", *small, "-o", ""]),
+        ("outdir", ["sweep", *small, "--set", "outdir=", *sweep]),
+        ("outdir", ["sweep", *small, "-o", "", *sweep]),
+        ("outdir", ["phantom", *small, "-o", ""]),
+        ("outdir", ["demo", "cppd1d", "-o", ""]),
+        ("cache_dir", ["run", *lowrank, "--set", "cache_dir="]),
+        ("cache_dir", ["eig", *lowrank, "--set", "cache_dir="]),
+    ):
+        assert cli.main(args) == 1, args
+        assert capsys.readouterr().err.startswith(f"config error: {key} must name a directory")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_config_missing_file(tmp_path):
@@ -1019,10 +1048,11 @@ def test_tvclsq_run_bytes_do_not_depend_on_the_threshold_hint(tmp_path, monkeypa
 def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):
     # scipy.sparse.linalg pulls in scipy.linalg, several MB resident that
     # the numpy Lanczos engine does not need, low-rank plans included;
-    # only ct.gaussian_smooth loads scipy.ndimage, and no run calls it;
-    # no run needs the process pool either; ct loads scipy's compiled
-    # sparse kernels alone, and not the scipy.sparse package, whose
-    # import chain (scipy._lib, numpy.f2py, ...) adds about 14 MB
+    # no module of the package imports scipy.ndimage or any other scipy
+    # package (the AST scan below checks the source), and no run needs
+    # the process pool either; ct loads scipy's compiled sparse kernels
+    # alone, and not the scipy.sparse package, whose import chain
+    # (scipy._lib, numpy.f2py, ...) adds about 14 MB
     tv = ["--set", "problem=tvclsq", "-o", str(tmp_path / "tv")]
     lowrank = ["--set", "plan=lowrank", "--set", "k_eigs=3",
                "--set", f"cache_dir={tmp_path / 'cache'}", "-o", str(tmp_path / "lr")]
@@ -1044,3 +1074,19 @@ print(sorted(m for m in unused if m in sys.modules))
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_no_module_of_the_package_imports_a_scipy_package():
+    # ct._load_sparsetools loads scipy's compiled kernels from their file,
+    # the package's only contact with scipy
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []

@@ -115,5 +115,3 @@ def test_disk_tv_counts_boundary_crossings():
     assert phantom_tv(ph) == pytest.approx(v * crossings)
 
 
-def test_dynamic_range(desk_phantom):
-    assert desk_phantom.dynamic_range == pytest.approx(FIBRO_VALUE)

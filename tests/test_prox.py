@@ -193,6 +193,9 @@ def test_l1_projection_edge_cases_match_sort_oracle(name):
         dual = prox_tvc_conjugate(v, r)
     assert dual.aux == project_l1_ball(v, r).aux
     assert np.array_equal(dual.value, np.clip(v, -dual.aux, dual.aux))
+    # the projection is the Moreau complement of the dual prox, bit for
+    # bit the shrink by its threshold (np.array_equal ignores zero signs)
+    assert np.array_equal(project_l1_ball(v, r).value, shrink(v, dual.aux))
 
 
 @given(
@@ -228,6 +231,8 @@ def test_l1_projection_kkt_property(v, frac):
     dual = prox_tvc_conjugate(v, r)
     assert dual.aux == beta
     assert np.array_equal(dual.value, np.clip(v, -beta, beta))
+    # and the projection, its Moreau complement, is the shrink bit for bit
+    assert np.array_equal(res.value, shrink(v, dual.aux))
 
 
 @given(
