@@ -16,6 +16,7 @@ import argparse
 import csv
 import os
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -101,6 +102,9 @@ def main(argv=None) -> int:
         "--gradient-nx", default="64,128,256", help="comma-separated grid sizes of D"
     )
     args = parser.parse_args(argv)
+    if not args.outdir:  # Path("") would be the working directory
+        print("config error: outdir must name a directory, got an empty value", file=sys.stderr)
+        return 1
     gradient_nx = [int(v) for v in args.gradient_nx.split(",") if v]
     cpus = ct._allowed_cpus()
     blas = os.environ.get("OPENBLAS_NUM_THREADS", "unset")

@@ -264,8 +264,15 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
         # an empty outdir stays empty, so every run's validate rejects it
         outdir = cfg.outdir and str(parent / f"{parameter}_{value}")
         runs.append((value, replace(cfg, **{field_name: value}, outdir=outdir)))
-    # a value whose config is invalid is a failed row, but a config error
-    # that no swept value fixes ends the sweep before anything is written
+    # a low-rank rho sweep computes its plan once; the eigcache serves the rest
+    return run_all(parent, runs, f"sweep {parameter}=")
+
+
+def run_all(parent, runs: list, tag: str) -> Path:
+    """Run each (value, config) pair and write `parent/summary.csv`, one
+    row per run.  A failed run is a status row, reported on stderr after
+    `tag` and its value, but a ConfigError that every run's config
+    raises ends the batch before anything is written."""
     errors = []
     for _, sub in runs:
         try:
@@ -274,25 +281,20 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list) -> Path:
             errors.append(exc)
     if len(errors) == len(runs):
         raise errors[0]
-    ensure_dir(parent)
+    parent = ensure_dir(parent)
 
     columns = ("final_image_rmse", "final_r_sigma", "final_r_tau")
     rows = []
-    # a low-rank rho sweep computes its plan on the first value and
-    # reads it from the eigcache on the others
     for value, sub in runs:
         try:
             res = run_experiment(sub)
             status = "ok"
         except Exception as exc:
-            print(f"sweep {parameter}={value} failed: {_describe(exc)}", file=sys.stderr)
+            print(f"{tag}{value} failed: {_describe(exc)}", file=sys.stderr)
             res = dict.fromkeys(columns, np.nan)
             status = type(exc).__name__
         rows.append([value] + [res[key] for key in columns] + [status])
-
-    summary = parent / "summary.csv"
-    write_csv(summary, ("value",) + columns + ("status",), rows)
-    return summary
+    return write_csv(parent / "summary.csv", ("value",) + columns + ("status",), rows)
 
 
 def _trajectory_csvs(out: Path, **trajs) -> list[Path]:

@@ -70,6 +70,9 @@ def save_raw(path, values: np.ndarray) -> None:
 
 def load_raw(path, n: int | None = None) -> np.ndarray:
     """Read a raw float64 vector; checks the length when n is given."""
+    size = os.path.getsize(path)
+    if size % 8:
+        raise ValueError(f"{path}: {size} bytes is not a whole number of float64 values")
     out = np.fromfile(path, dtype="<f8")
     if n is not None and out.size != n:
         raise ValueError(f"{path}: expected {n} values, found {out.size}")
@@ -113,8 +116,10 @@ def load_sinogram(path, geom: FanBeamGeometry, grid: ImageGrid | None = None) ->
             )
         if digest != geometry_digest(geom, grid):
             raise ValueError(f"{path}: geometry digest mismatch")
-        values = np.frombuffer(fh.read(), dtype="<f8")
-    return Sinogram(values.copy(), geom)
+        payload, want = fh.read(), 8 * n_views * n_bins
+    if len(payload) != want:
+        raise ValueError(f"{path}: {len(payload)} payload bytes, {n_views}x{n_bins} rays need {want}")
+    return Sinogram(np.frombuffer(payload, dtype="<f8").copy(), geom)
 
 
 def save_eigenset(path, eigs: EigenSet, sigma0: float, key: bytes) -> None:

@@ -24,6 +24,9 @@ from .linop import LinearMap, Vector, scaled
 _RESIDUAL_TOL = 1e-10
 _CHECK_EVERY = 5
 _MAX_STEPS = 500
+# EigenSet.validate's Gram-matrix bounds: off the diagonal, and 10x on it
+_ORTH_TOL = 1e-6
+_NORM_TOL = 1e-10
 # Names the eigenpair engine in cache keys, so pairs from another engine
 # are never read back as a hit.
 EIG_ENGINE = "lanczos-numpy"
@@ -55,12 +58,12 @@ class EigenSet:
     def n(self) -> int:
         return self.vectors.shape[1]
 
-    def validate(self, orth_tol: float = 1e-6, norm_tol: float = 1e-10):
+    def validate(self):
         gram = self.vectors @ self.vectors.T
         off = gram - np.diag(np.diag(gram))
-        if np.abs(off).max(initial=0.0) > orth_tol:
+        if np.abs(off).max(initial=0.0) > _ORTH_TOL:
             raise ValueError("eigenvectors are not orthogonal")
-        if np.abs(np.diag(gram) - 1.0).max() > 10 * norm_tol:
+        if np.abs(np.diag(gram) - 1.0).max() > 10 * _NORM_TOL:
             raise ValueError("eigenvectors are not unit norm")
         slack = 1e-8 * max(1.0, float(self.values[0]))
         if np.any(np.diff(self.values) > slack):

@@ -34,6 +34,16 @@ def test_raw_round_trip(tmp_path, rng):
         load_raw(path, n=5)
 
 
+@pytest.mark.parametrize("n", [10, None])
+def test_raw_rejects_a_partial_value(tmp_path, n):
+    # 8n + 4 bytes is not n values and a stray half of one
+    path = tmp_path / "img.raw"
+    save_raw(path, np.zeros(10))
+    path.write_bytes(path.read_bytes() + b"\0" * 4)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 84 bytes is not a whole number")):
+        load_raw(path, n)
+
+
 def test_pgm_header_window_and_clipping(tmp_path):
     img = np.array([[0.0, 0.5], [1.0, 2.0]])
     path = tmp_path / "img.pgm"
@@ -75,6 +85,19 @@ def test_sinogram_rejects_wrong_geometry(tmp_path, rng):
     # grid binding participates in the digest
     with pytest.raises(ValueError, match="digest mismatch"):
         load_sinogram(path, geom, ImageGrid(64, 64, 18.0))
+
+
+@pytest.mark.parametrize("change", [-3, -8, 8])
+def test_sinogram_rejects_a_truncated_or_padded_payload(tmp_path, rng, change):
+    geom = build_geometry("desk-sparse")
+    values = rng.standard_normal(geom.n_views * geom.n_bins)
+    path = tmp_path / "data.sng"
+    save_sinogram(path, Sinogram(values, geom))
+    blob = path.read_bytes()
+    path.write_bytes(blob[:change] if change < 0 else blob + b"\0" * change)
+    want = 8 * values.size
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {want + change} payload bytes")):
+        load_sinogram(path, geom)
 
 
 def test_sinogram_rejects_foreign_file(tmp_path):
