@@ -21,6 +21,8 @@ from .ct import FanBeamGeometry, ImageGrid, Sinogram
 from .spectral import EigenSet
 
 _SINO_MAGIC = b"SNG1"
+# tag, <II (views, bins), the 16-byte geometry digest; then the rays
+_SINO_HEADER = 4 + 8 + 16
 # The eigenset format tag; it also joins the eigcache key, so files of an
 # earlier format are never opened.  Header: tag, <II (n, K), the sha256
 # digest of the cache key, <d sigma0; then K values and K x n vectors.
@@ -105,10 +107,13 @@ def save_sinogram(path, sino: Sinogram, grid: ImageGrid | None = None) -> None:
 def load_sinogram(path, geom: FanBeamGeometry, grid: ImageGrid | None = None) -> Sinogram:
     """Read a sinogram, verifying shape and geometry digest."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _SINO_MAGIC:
+        head = fh.read(_SINO_HEADER)
+        if head[:4] != _SINO_MAGIC:
             raise ValueError(f"{path}: not a sinogram file")
-        n_views, n_bins = struct.unpack("<II", fh.read(8))
-        digest = fh.read(16)
+        if len(head) < _SINO_HEADER:
+            raise ValueError(f"{path}: {len(head)} bytes, shorter than the {_SINO_HEADER}-byte header")
+        n_views, n_bins = struct.unpack_from("<II", head, 4)
+        digest = head[12:]
         if (n_views, n_bins) != (geom.n_views, geom.n_bins):
             raise ValueError(
                 f"{path}: holds {n_views}x{n_bins} rays, geometry expects "

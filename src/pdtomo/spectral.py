@@ -27,9 +27,9 @@ _MAX_STEPS = 500
 # EigenSet.validate's Gram-matrix bounds: off the diagonal, and 10x on it
 _ORTH_TOL = 1e-6
 _NORM_TOL = 1e-10
-# Names the eigenpair engine in cache keys, so pairs from another engine
-# are never read back as a hit.
-EIG_ENGINE = "lanczos-numpy"
+# Names the eigenpair engine in cache keys, so pairs or a sigma0 from
+# another engine are never read back as a hit.
+EIG_ENGINE = "lanczos-numpy-2"
 
 
 @dataclass
@@ -111,19 +111,23 @@ class StepPlan:
         return out
 
 
-def _lanczos(apply, n: int, k: int, seed: int):
+def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
     """Top-k Ritz pairs of a symmetric positive semidefinite operator on R^n.
 
-    Lanczos with full reorthogonalisation from the start vector
-    `default_rng(seed).standard_normal(n)`.  Every _CHECK_EVERY steps
-    the Ritz residuals ||B x - theta x|| = beta |s_last| are checked; the
-    run stops once the k leading ones are at most _RESIDUAL_TOL * theta_1
-    and raises RuntimeError if _MAX_STEPS steps pass first.  A next
-    vector at the rounding level n eps ||T|| marks an invariant subspace;
-    the run goes on from a fresh random vector, which can find further
-    copies of a repeated eigenvalue.  Returns (theta, residual,
-    vectors), descending, `vectors` (k, n); each residual includes the
-    rounding bound n eps theta_1 of the inner products behind theta.
+    Lanczos from the start vector `default_rng(seed).standard_normal(n)`;
+    only a run that returns Ritz vectors (`want_vectors`) stores the
+    Lanczos vectors and reorthogonalises against them, any other run
+    holds a few n-vectors.  With or without reorthogonalisation, a small
+    computed Ritz residual puts theta that close to an eigenvalue (Paige,
+    1980): every _CHECK_EVERY steps the residuals beta |s_last| are
+    checked, the run stops once the k leading ones are at most
+    _RESIDUAL_TOL * theta_1 and raises RuntimeError if _MAX_STEPS steps
+    pass first.  A next vector at the rounding level n eps ||T|| marks an
+    invariant subspace; the run goes on from a fresh random vector with
+    beta = 0, which can find further copies of a repeated eigenvalue.
+    Returns (theta, residual, vectors), descending, `vectors` (k, n) or
+    None; each residual includes the rounding bound n eps theta_1 of the
+    inner products behind theta.
     """
     rng = np.random.default_rng(seed)
     limit = min(n, _MAX_STEPS)
@@ -135,6 +139,8 @@ def _lanczos(apply, n: int, k: int, seed: int):
     blocks: list[np.ndarray] = []
 
     def orthogonalize(w: np.ndarray, count: int) -> np.ndarray:
+        if not want_vectors:
+            return w
         # classical Gram-Schmidt, repeated once when a pass shrinks w below
         # 1/sqrt(2) of its norm: after such cancellation one pass leaves w
         # off orthogonal (Daniel, Gragg, Kaufman and Stewart, 1976)
@@ -149,14 +155,15 @@ def _lanczos(apply, n: int, k: int, seed: int):
 
     w, prev = rng.standard_normal(n), np.zeros(n)
     for j in range(limit):
-        if j % rows == 0:
-            blocks.append(np.empty((rows, n)))
-        q = blocks[-1][j % rows]
-        q[:] = w / np.linalg.norm(w)
+        q = w / np.linalg.norm(w)
+        if want_vectors:
+            if j % rows == 0:
+                blocks.append(np.empty((rows, n)))
+            blocks[-1][j % rows] = q
         steps = j + 1
         w = apply(q)
         alpha[j] = q @ w
-        # the three-term recurrence, then against every earlier vector
+        # the three-term recurrence, then against every stored vector
         w = orthogonalize(w - alpha[j] * q - beta[j - 1] * prev, steps)
         prev = q
         b = np.linalg.norm(w)
@@ -166,10 +173,12 @@ def _lanczos(apply, n: int, k: int, seed: int):
             theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
             resid = b * np.abs(s[-1])
             if steps >= k and np.all(resid <= _RESIDUAL_TOL * theta[0]):
-                vectors = sum(
-                    s[first : first + rows].T @ blocks[first // rows][: steps - first]
-                    for first in range(0, steps, rows)
-                )
+                vectors = None
+                if want_vectors:
+                    # each block's share is added, in block order, into one output
+                    vectors = np.zeros((k, n))
+                    for first in range(0, steps, rows):
+                        vectors += s[first : first + rows].T @ blocks[first // rows][: steps - first]
                 return theta, resid + rounding * theta[0], vectors
         if b <= rounding * np.abs(alpha[:steps]).max():
             w = orthogonalize(rng.standard_normal(n), steps)
@@ -195,7 +204,7 @@ def leading_eigenpairs(map_: LinearMap, k: int, seed: int = 0) -> EigenSet:
     n = map_.domain_dim
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= K <= {n}, got {k}")
-    values, _, vectors = _lanczos(lambda v: map_.adjoint(map_(v)), n, k, seed)
+    values, _, vectors = _lanczos(lambda v: map_.adjoint(map_(v)), n, k, seed, want_vectors=True)
     if values[-1] <= n * np.finfo(float).eps * max(values[0], 0.0):
         raise ValueError(
             f"eigenvalue {k - 1} is numerically zero: operator rank is smaller than K"

@@ -100,6 +100,18 @@ def test_sinogram_rejects_a_truncated_or_padded_payload(tmp_path, rng, change):
         load_sinogram(path, geom)
 
 
+@pytest.mark.parametrize("size", [0, 6, 27])
+def test_sinogram_rejects_a_file_shorter_than_its_header(tmp_path, rng, size):
+    geom = build_geometry("desk-sparse")
+    path = tmp_path / "data.sng"
+    save_sinogram(path, Sinogram(rng.standard_normal(geom.n_views * geom.n_bins), geom))
+    path.write_bytes(path.read_bytes()[:size])
+    # an empty file lacks the tag too; a cut one names the header
+    want = "not a sinogram file" if size < 4 else f"{size} bytes, shorter than the 28-byte header"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {want}")):
+        load_sinogram(path, geom)
+
+
 def test_sinogram_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.sng"
     path.write_bytes(b"not a sinogram at all")

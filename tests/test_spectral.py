@@ -4,6 +4,8 @@ Oracles: numpy.linalg.eigh / SVD / inv on dense materializations, plus
 closed-form spectra of constructed operators.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,14 +66,79 @@ def test_eigenset_shape_properties():
 
 
 def test_spectral_norm_matches_dense_svd(rng):
-    a = rng.standard_normal((12, 7))
-    got = spectral_norm(from_dense(a))
-    assert abs(got - np.linalg.norm(a, 2)) <= 1e-10 * np.linalg.norm(a, 2)
+    # a random matrix, and [X; nu D] at nx = 16, whose top three singular
+    # values lie within 1.3% of each other; L errs above, by at most what
+    # the residual stop (1e-10 of theta) allows
+    grid = ImageGrid(16, 16, 18.0)
+    x_map = projector(grid, build_geometry("desk-oversampled"))
+    nu = spectral_norm(x_map, seed=7) / gradient_norm(grid)
+    for a_map in (from_dense(rng.standard_normal((12, 7))), stack([(1.0, x_map), (nu, gradient(grid))])):
+        want = np.linalg.norm(materialize_dense(a_map), 2)
+        assert want <= spectral_norm(a_map) <= want * (1.0 + 1e-10)
 
 
 def test_spectral_norm_zero_operator():
     z = LinearMap(4, 3, lambda v: np.zeros(3), lambda w: np.zeros(4))
     assert spectral_norm(z) == 0.0
+
+
+def test_spectral_norm_restarts_past_an_invariant_subspace(monkeypatch):
+    # the Krylov space of a rank-2 A^T A on R^50 has dimension 3, so the
+    # run without a stored basis breaks down at step 3 and goes on from a
+    # second random vector; the top eigenvalue 9 stops it at the step-5 check
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((50, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((50, 2)))
+    a = from_dense(u @ np.diag([3.0, 2.0]) @ v.T)
+    starts, applies, default_rng = [], [], np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, n):
+            starts.append(n)
+            return self.rng.standard_normal(n)
+
+    def forward(x):
+        applies.append(1)
+        return a(x)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    got = spectral_norm(LinearMap(50, 50, forward, a.adjoint), seed=0)
+    assert len(starts) == 2 and len(applies) == 5
+    assert got == pytest.approx(3.0, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("quantity", ["norm", "sigma0"])
+def test_norm_and_sigma0_hold_a_few_vectors_not_the_lanczos_basis(quantity):
+    # [X; nu D] at 256^2 on desk-limited takes 65 Lanczos steps for
+    # ||A|| (in R^n, n = 65,536) and 60 for sigma0 with T = I (in R^m,
+    # m = 135,168); a stored basis would hold one vector per step
+    grid = ImageGrid(256, 256, 18.0)
+    x_map = projector(grid, build_geometry("desk-limited"))
+    nu = spectral_norm(x_map, seed=0) / gradient_norm(grid)
+    a = stack([(1.0, x_map), (nu, gradient(grid))])
+    applies = []
+
+    def forward(x):
+        applies.append(1)
+        return a(x)
+
+    counted = LinearMap(a.domain_dim, a.range_dim, forward, a.adjoint)
+    tracemalloc.start()
+    try:
+        if quantity == "norm":
+            spectral_norm(counted, seed=0)
+            dim = a.domain_dim
+        else:
+            sigma_for_T(counted, identity(a.domain_dim), seed=0)
+            dim = a.range_dim
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(applies) >= 60
+    assert peak < 10 * 8 * dim
 
 
 def test_leading_eigenpairs_match_dense_on_random_16x16():
