@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from . import spectral
 from .ct import FOV_CM, GEOMETRY_PRESETS
 
 
@@ -105,8 +106,12 @@ class ExperimentConfig:
                 raise ConfigError("plan = diagonal serves only lsq: D has negative entries")
             if self.nx < 2:
                 raise ConfigError("TV problems need nx >= 2: a one-pixel image has no gradient")
-        if not 1 <= self.k_eigs <= self.nx * self.nx:
-            raise ConfigError(f"k_eigs must be in [1, nx*nx = {self.nx * self.nx}]")
+        # K pairs need K Lanczos steps: the cap is read here, not at import
+        pixels, cap = self.nx * self.nx, spectral._MAX_STEPS
+        if not 1 <= self.k_eigs <= min(pixels, cap):
+            if pixels <= cap:
+                raise ConfigError(f"k_eigs must be in [1, nx*nx = {pixels}]")
+            raise ConfigError(f"k_eigs must be in [1, {cap}], the Lanczos step cap")
         if self.beta < 0:
             raise ConfigError("beta must be nonnegative")
         if self.problem == "tvclsq" and "gamma" in floats and not floats["gamma"] > 0:

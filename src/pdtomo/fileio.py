@@ -159,8 +159,8 @@ def load_eigenset(path) -> tuple[EigenSet, float, bytes]:
     """Read what `save_eigenset` wrote: (eigenpairs, sigma0, key digest).
 
     ValueError naming the path for another format (`EIG1` included), a
-    length that does not match the header, or a sigma0 that is not
-    finite and positive.
+    length that does not match the header, a sigma0 that is not finite
+    and positive, or pairs that `EigenSet.validate` rejects.
     """
     # values and vectors are read straight from the file, so loading
     # holds one copy of the plan, not the file's bytes beside it
@@ -181,7 +181,10 @@ def load_eigenset(path) -> tuple[EigenSet, float, bytes]:
             raise ValueError(f"{path}: sigma0 {sigma0!r} is not finite and positive")
         values = np.fromfile(fh, "<f8", k)
         vectors = np.fromfile(fh, "<f8", k * n).reshape(k, n)
-    return EigenSet(vectors, values), sigma0, key
+    try:
+        return EigenSet(vectors, values), sigma0, key
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def ensure_dir(path) -> Path:

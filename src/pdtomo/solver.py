@@ -12,7 +12,7 @@ which carries A x and A^T lambda, and rejects non-finite results.  One
 loop, `_iterate`, runs it and the gradient-descent and CGLS baselines
 with one record policy, one divergence guard and CGLS's breakdown
 stop.  Applies per step, then per record: CP one A and one A^T, then
-one X^T (and one A for tvclsq with validate_prox); GD one X and one
+one X^T (and one D for tvclsq with validate_prox); GD one X and one
 X^T, then none; CGLS one X and one X^T, then one of each again, as its
 recursive residual drifts; GD and CGLS add one X and one X^T at
 set-up.  One metric function covers r_sigma = ||A x - y||, r_tau =
@@ -322,14 +322,18 @@ def metrics(
 
 
 def _prox_check(
-    problem: ProblemSpec, prev: SaddleState, new: SaddleState, plan: StepPlan, a_map
+    problem: ProblemSpec, prev: SaddleState, new: SaddleState, plan: StepPlan
 ) -> dict:
     """Distance of the l1-ball dual update prev -> new from the
     sort-based projection, with the fixed bound `default_l1_tol`;
-    RuntimeError when the distance exceeds the bound.  The dual argument
-    is rebuilt bit for bit at the cost of one forward apply."""
+    RuntimeError when the distance exceeds the bound.  The dual argument's
+    nu D rows are rebuilt bit for bit, as `stack` forms them, at the cost
+    of one D apply."""
     m_s = problem.x_map.range_dim
-    v_g = (prev.lam + plan.sigma * a_map(new.xbar))[m_s:]
+    nu_dx = problem.d_map(new.xbar)
+    if problem.nu != 1.0:
+        nu_dx *= problem.nu
+    v_g = prev.lam[m_s:] + plan.sigma * nu_dx
     radius = problem.nu * problem.gamma * plan.sigma
     ref_g = v_g - project_l1_ball_sorted(v_g, radius).value
     residual = float(np.linalg.norm(new.lam[m_s:] - ref_g))
@@ -428,7 +432,7 @@ def run_cppd(
     def emit(s: SaddleState, prev: SaddleState | None) -> dict:
         check = check_prox and prev is not None
         return {
-            **(_prox_check(problem, prev, s, plan, a_map) if check else {}),
+            **(_prox_check(problem, prev, s, plan) if check else {}),
             **_pd_metrics(problem, s.x, s.lam, s.y, s.ax, s.atl, reference),
             "beta": s.beta if problem.kind == "tvclsq" else np.nan,
         }

@@ -29,7 +29,7 @@ _ORTH_TOL = 1e-6
 _NORM_TOL = 1e-10
 # Names the eigenpair engine in cache keys, so pairs or a sigma0 from
 # another engine are never read back as a hit.
-EIG_ENGINE = "lanczos-numpy-2"
+EIG_ENGINE = "lanczos-numpy-3"
 
 
 @dataclass
@@ -59,16 +59,19 @@ class EigenSet:
         return self.vectors.shape[1]
 
     def validate(self):
+        # each bound is written so that a NaN fails it
+        if not (np.isfinite(self.values).all() and np.isfinite(self.vectors).all()):
+            raise ValueError("eigenpairs must be finite")
         gram = self.vectors @ self.vectors.T
         off = gram - np.diag(np.diag(gram))
-        if np.abs(off).max(initial=0.0) > _ORTH_TOL:
+        if not np.abs(off).max(initial=0.0) <= _ORTH_TOL:
             raise ValueError("eigenvectors are not orthogonal")
-        if np.abs(np.diag(gram) - 1.0).max() > 10 * _NORM_TOL:
+        if not np.abs(np.diag(gram) - 1.0).max() <= 10 * _NORM_TOL:
             raise ValueError("eigenvectors are not unit norm")
         slack = 1e-8 * max(1.0, float(self.values[0]))
-        if np.any(np.diff(self.values) > slack):
+        if not np.all(np.diff(self.values) <= slack):
             raise ValueError("eigenvalues must be sorted descending")
-        if np.any(self.values < -slack):
+        if not np.all(self.values >= -slack):
             raise ValueError("eigenvalues must be nonnegative")
 
 
@@ -133,22 +136,18 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
     limit = min(n, _MAX_STEPS)
     rounding = n * np.finfo(float).eps
     alpha, beta = np.zeros(limit), np.zeros(limit)
-    # Lanczos vectors fill blocks of rows allocated as the steps need
-    # them, each under the 4 MB at which numpy asks for huge pages
-    rows = max(1, 2**21 // (8 * n))
-    blocks: list[np.ndarray] = []
+    # one row per step; only the rows a run reaches are ever touched
+    basis = np.empty((limit, n)) if want_vectors else None
 
     def orthogonalize(w: np.ndarray, count: int) -> np.ndarray:
-        if not want_vectors:
+        if basis is None:
             return w
         # classical Gram-Schmidt, repeated once when a pass shrinks w below
         # 1/sqrt(2) of its norm: after such cancellation one pass leaves w
         # off orthogonal (Daniel, Gragg, Kaufman and Stewart, 1976)
         for _ in range(2):
             before = np.linalg.norm(w)
-            for first in range(0, count, rows):
-                basis = blocks[first // rows][: count - first]
-                w = w - basis.T @ (basis @ w)
+            w = w - basis[:count].T @ (basis[:count] @ w)
             if np.linalg.norm(w) > before / np.sqrt(2.0):
                 break
         return w
@@ -156,10 +155,8 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
     w, prev = rng.standard_normal(n), np.zeros(n)
     for j in range(limit):
         q = w / np.linalg.norm(w)
-        if want_vectors:
-            if j % rows == 0:
-                blocks.append(np.empty((rows, n)))
-            blocks[-1][j % rows] = q
+        if basis is not None:
+            basis[j] = q
         steps = j + 1
         w = apply(q)
         alpha[j] = q @ w
@@ -173,12 +170,7 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
             theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
             resid = b * np.abs(s[-1])
             if steps >= k and np.all(resid <= _RESIDUAL_TOL * theta[0]):
-                vectors = None
-                if want_vectors:
-                    # each block's share is added, in block order, into one output
-                    vectors = np.zeros((k, n))
-                    for first in range(0, steps, rows):
-                        vectors += s[first : first + rows].T @ blocks[first // rows][: steps - first]
+                vectors = None if basis is None else s.T @ basis[:steps]
                 return theta, resid + rounding * theta[0], vectors
         if b <= rounding * np.abs(alpha[:steps]).max():
             w = orthogonalize(rng.standard_normal(n), steps)

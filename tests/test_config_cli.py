@@ -597,6 +597,31 @@ def test_main_truncated_eigcache_file_exits_numerical(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# header (tag, n and K, key digest, sigma0), then K = 2 values, then the vectors
+EIG_VALUES_AT = 4 + 8 + 32 + 8
+
+
+@pytest.mark.parametrize("entry", [1, 2 + 17], ids=["value", "vector"])
+def test_main_nan_in_eigcache_file_exits_numerical(tmp_path, capsys, entry):
+    # the run names the file at [plan], not a NaN image in the solve
+    common = []
+    for pair in ("nx=16", "geometry=desk-sparse", "k_eigs=2", f"cache_dir={tmp_path / 'cache'}"):
+        common += ["--set", pair]
+    assert cli.main(["eig", *common]) == 0
+    (path,) = (tmp_path / "cache").glob("eig_*.bin")
+    blob = bytearray(path.read_bytes())
+    at = EIG_VALUES_AT + 8 * entry
+    blob[at : at + 8] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    run = ["run", *common, "--set", "plan=lowrank", "--set", "k_max=5", "-o", str(tmp_path / "out")]
+    assert cli.main(run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: [plan] {path}: eigenpairs must be finite")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eig_cache_key_names_the_engine(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path / "out", plan="lowrank", cache_dir=str(tmp_path / "cache"))
     grid, geom = cli.build_grid(cfg), build_geometry(cfg.geometry)
@@ -788,6 +813,9 @@ SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
         ("sweep", (), ["--param", "rho", "--values", ",0.1"], "sweep value 1 of 2 is empty"),
         ("run", ("problem=tvlsq", "beta=-0.1"), [], "beta must be nonnegative"),
         ("run", ("nx=4", "plan=lowrank", "k_eigs=50"), [], "k_eigs must be in [1, nx*nx = 16]"),
+        # K pairs need K Lanczos steps: past the cap, K is refused before any work
+        ("eig", ("nx=32", "geometry=desk-oversampled", "plan=lowrank", "k_eigs=501"), [],
+         "k_eigs must be in [1, 500], the Lanczos step cap"),
         # eigenvector smoothing is gone; manifests replay only at its 0
         ("run", ("plan=lowrank", "k_eigs=2", "blur_width=-1.0"), [], "blur_width"),
         ("sweep", (), ["--param", "K", "--values", "1,5"], "K sweep needs solver = cppd and"),
@@ -826,6 +854,7 @@ SMALL_RUN = ("nx=16", "geometry=desk-sparse", "k_max=20", "record_stride=10")
         "sweep-rho-leading-comma",
         "beta-negative",
         "k_eigs-above-nx2",
+        "eig-k_eigs-above-step-cap",
         "blur-negative",
         "sweep-K-scalar-plan",
         "sweep-K-diagonal-plan",

@@ -172,6 +172,19 @@ def test_eigenset_rejects_a_stored_sigma0_that_is_not_positive(tmp_path, sigma0)
     assert not (tmp_path / "other.eig").exists()
 
 
+# the three values follow sigma0; the 3 x 6 vectors follow them
+@pytest.mark.parametrize(
+    "offset", [SIGMA0_AT + 8 + 8, SIGMA0_AT + 8 + 24 + 8 * 7], ids=["value", "vector"]
+)
+def test_eigenset_rejects_a_stored_nan_naming_the_file(tmp_path, offset):
+    path = saved_pairs(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + 8] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: eigenpairs must be finite"):
+        load_eigenset(path)
+
+
 def test_eigenset_save_needs_a_full_key_digest(tmp_path):
     with pytest.raises(ValueError, match="32 bytes"):
         save_eigenset(tmp_path / "pairs.eig", EigenSet(np.eye(6)[:1], [1.0]), 1.0, KEY[:16])

@@ -742,6 +742,34 @@ def test_runner_apply_budget(tiny, solver):
     assert (calls["X"], calls["XT"]) == APPLY_BUDGET[solver]
 
 
+def test_prox_check_costs_one_d_apply_per_record(tiny):
+    # validate_prox rebuilds only the nu D rows of the dual argument, so
+    # each checked record (every one but iteration 0's) costs one D, no X
+    calls = {"X": 0, "XT": 0, "D": 0, "DT": 0}
+
+    def counted(name, m):
+        def call(fn, key):
+            def wrapper(v):
+                calls[key] += 1
+                return fn(v)
+
+            return wrapper
+
+        return LinearMap(m.domain_dim, m.range_dim, call(m, name), call(m.adjoint, name + "T"))
+
+    nu, gamma = tv_weight(tiny), 0.7 * tiny["phantom"].tv_value
+    parts = dict(g=tiny["g"], gamma=gamma, nu=nu, active=tiny["active"])
+    plain = ProblemSpec(kind="tvclsq", x_map=tiny["x_map"], d_map=tiny["d_map"], **parts)
+    plan = scalar_steps(spectral_norm(plain.operator()))
+    spec = ProblemSpec(
+        kind="tvclsq", x_map=counted("X", tiny["x_map"]), d_map=counted("D", tiny["d_map"]), **parts
+    )
+    _, record = run_cppd(spec, plan, k_max=10, record_stride=3, validate_prox=True)
+    assert len(record.iters) == 5
+    # CP's pair per step and X^T per record, plus one D per checked record
+    assert calls == {"X": 10, "XT": 15, "D": 14, "DT": 10}
+
+
 def test_cgls_raises_on_nonfinite_iterate():
     # X = 1e200 I overflows at the first step; the image goes NaN
     huge = LinearMap(3, 3, lambda x: 1e200 * x, lambda y: 1e200 * y)

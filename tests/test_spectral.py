@@ -57,6 +57,21 @@ def test_eigenset_validation():
         EigenSet(np.eye(2), [1.0, -0.5])
 
 
+@pytest.mark.parametrize(
+    "vectors, values",
+    [
+        (np.full((2, 2), np.nan), [np.nan, np.nan]),
+        (np.eye(2), [1.0, np.nan]),
+        (np.eye(2), [np.inf, 1.0]),
+        ([[1.0, 0.0], [0.0, np.nan]], [2.0, 1.0]),
+    ],
+)
+def test_eigenset_rejects_non_finite_pairs(vectors, values):
+    # a NaN makes every comparison false, so no bound may read x > tol
+    with pytest.raises(ValueError, match="eigenpairs must be finite"):
+        EigenSet(vectors, values)
+
+
 def test_eigenset_shape_properties():
     es = EigenSet(np.eye(4)[:2], [5.0, 1.0])
     assert es.k == 2 and es.n == 4
@@ -202,6 +217,25 @@ def test_leading_eigenpairs_match_arpack_on_desk_oversampled():
     want = eigsh(gram, k=25, which="LA", v0=v0, return_eigenvectors=False)[::-1]
     got = leading_eigenpairs(x_map, 25, seed=7).values
     assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_leading_eigenpairs_past_64_steps_on_a_diagonal_of_4096():
+    # A^T A = diag(d) on R^4096: the top 30 pairs, 0.017 apart, need about
+    # 95 Lanczos steps; each pair is (d_i, +-e_i)
+    n, k = 4096, 30
+    top = np.linspace(2.0, 1.5, k)
+    root = np.sqrt(np.concatenate([top, np.linspace(1.0, 0.0, n - k)]))
+    applies = []
+
+    def apply(v):
+        applies.append(1)
+        return root * v
+
+    es = leading_eigenpairs(LinearMap(n, n, apply, apply), k, seed=3)
+    assert 2 * 64 < len(applies) <= 2 * 500
+    assert np.max(np.abs(es.values - top) / top) <= 1e-10
+    # residual <= 1e-10 * d_1 over the gap 0.017 bounds each angle by 1.2e-8
+    assert np.abs(np.abs(es.vectors) - np.eye(k, n)).max() <= 1.2e-8
 
 
 def test_leading_eigenpairs_repeat_bitwise_for_equal_seed():
