@@ -17,7 +17,6 @@ memory included), 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -52,6 +51,7 @@ from .fileio import (
     save_pgm,
     save_raw,
     save_sinogram,
+    sha256,
     write_csv,
 )
 from .phantom import GRAY_WINDOWS, generate, gmi
@@ -118,7 +118,7 @@ def _eig_cache_key(cfg: ExperimentConfig, grid, geom) -> bytes:
             EIG_FORMAT,
         ]
     )
-    return hashlib.sha256(key.encode()).digest()
+    return sha256(key.encode()).digest()
 
 
 def _eig_cache_path(cfg: ExperimentConfig, grid, geom) -> Path:

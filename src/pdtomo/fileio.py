@@ -10,12 +10,21 @@ different scan, and eigenset headers the digest of their cache key.
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
+
+# CPython's builtin sha256, not hashlib's, which loads OpenSSL's libcrypto
+# (3.5 MB resident) for a few 100-byte digests; the digests are the same
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # a build without the builtin hashes
+        from hashlib import sha256
 
 from .ct import FanBeamGeometry, ImageGrid, Sinogram
 from .spectral import EigenSet
@@ -45,7 +54,7 @@ def geometry_digest(geom: FanBeamGeometry, grid: ImageGrid | None = None) -> byt
     ]
     if grid is not None:
         parts += [f"{grid.nx}", f"{grid.ny}", f"{grid.side_length!r}"]
-    return hashlib.sha256("|".join(parts).encode()).digest()[:16]
+    return sha256("|".join(parts).encode()).digest()[:16]
 
 
 def write_csv(path, header, rows):

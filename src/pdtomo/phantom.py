@@ -9,13 +9,11 @@ exactly piecewise constant.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-# loaded with the module, not in a run's timed [phantom] stage: generate
-# needs default_rng, and np.percentile reaches numpy.ma through np.unique
-import numpy.ma
-import numpy.random
 
 from .ct import ImageGrid, fov_active, gradient
 
@@ -33,6 +31,86 @@ _BUMP_REGION = 0.8  # bump centers stay within this fraction of the FOV radius
 _FIBRO_PERCENTILE = 60.0
 _OUTLINE_RADIUS = 0.84  # breast outline radius as a fraction of the FOV radius
 _OUTLINE_WOBBLE = 0.04
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _PCG64:
+    """`np.random.default_rng(seed)`'s uniform draws, bit for bit, without
+    loading numpy.random (6 MB resident, OpenSSL included) for a few dozen
+    numbers: SeedSequence's hash of the seed's 32-bit words, PCG64 seeded
+    from four 64-bit state words, and the XSL-RR output (O'Neill, 2014)."""
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        mult = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal mult
+            value ^= mult
+            mult = mult * 0x931E8875 & _MASK32
+            value = value * mult & _MASK32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return r ^ r >> 16
+
+        # SeedSequence.mix_entropy on a pool of four words ...
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # ... then generate_state(4, uint64), little-endian word pairs
+        state, mult = [], 0x8B51F9DD
+        for i in range(8):
+            value = pool[i % 4] ^ mult
+            mult = mult * 0x58F38DED & _MASK32
+            value = value * mult & _MASK32
+            state.append(value ^ value >> 16)
+        s = [state[2 * i] | state[2 * i + 1] << 32 for i in range(4)]
+        # pcg64_set_seed: one step from state 0, add the seed, one more step
+        self.inc = (s[2] << 65 | s[3] << 1 | 1) & _MASK128
+        self.state = (self.inc + (s[0] << 64 | s[1])) & _MASK128
+        self.next64()
+
+    def next64(self) -> int:
+        self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        x = (self.state >> 64 ^ self.state) & _MASK64
+        rot = self.state >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def uniform(self, lo: float, hi: float, size) -> np.ndarray:
+        """`Generator.uniform(lo, hi, size)`: lo + (hi - lo) * u for u
+        the top 53 bits of each draw, in C order."""
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        lo, span = float(lo), float(hi) - float(lo)
+        draws = [lo + span * ((self.next64() >> 11) * 2.0**-53) for _ in range(math.prod(shape))]
+        return np.array(draws, dtype=float).reshape(shape)
+
+
+def _percentile(values: np.ndarray, q: float) -> float:
+    """`np.percentile(values, q)` by its default linear method, bit for
+    bit, from one `np.partition`: np.percentile itself loads numpy.ma
+    through np.unique."""
+    n = values.size
+    pos = (n - 1) * (q / 100)
+    # as numpy does: at or past the last index both neighbours are index -1,
+    # the largest value, and the weight is measured from -1
+    below = math.floor(pos) if pos < n - 1 else -1
+    above = below + 1 if below >= 0 else -1
+    part = np.partition(values, (below, above))
+    a, b, t = float(part[below]), float(part[above]), pos - below
+    # numpy's _lerp: from the nearer end, so t = 1 gives b exactly
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass
@@ -56,7 +134,7 @@ def generate(grid: ImageGrid, seed: int = 0) -> Phantom:
     fibro class is the upper tail of a smooth random bump field inside
     that region.
     """
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     r_fov = grid.side_length / 2
     c = grid.centers()
     xx, yy = np.meshgrid(c, c)
@@ -85,7 +163,7 @@ def generate(grid: ImageGrid, seed: int = 0) -> Phantom:
     for (cx, cy), w in zip(centers, widths):
         bumps += np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * w**2))
 
-    threshold = np.percentile(bumps[breast], _FIBRO_PERCENTILE)
+    threshold = _percentile(bumps[breast], _FIBRO_PERCENTILE)
     image = np.zeros_like(xx)
     image[breast] = FAT_VALUE
     image[breast & (bumps >= threshold)] = FIBRO_VALUE

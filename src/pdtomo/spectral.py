@@ -10,11 +10,10 @@ another rho.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
-# loaded with the module, not inside a timed stage: _lanczos needs default_rng
-import numpy.random
 
 from .linop import LinearMap, Vector, scaled
 
@@ -29,7 +28,7 @@ _ORTH_TOL = 1e-6
 _NORM_TOL = 1e-10
 # Names the eigenpair engine in cache keys, so pairs or a sigma0 from
 # another engine are never read back as a hit.
-EIG_ENGINE = "lanczos-numpy-3"
+EIG_ENGINE = "lanczos-numpy-4"
 
 
 @dataclass
@@ -59,6 +58,8 @@ class EigenSet:
         return self.vectors.shape[1]
 
     def validate(self):
+        if self.k == 0:
+            raise ValueError("the eigenset holds no eigenpairs")
         # each bound is written so that a NaN fails it
         if not (np.isfinite(self.values).all() and np.isfinite(self.vectors).all()):
             raise ValueError("eigenpairs must be finite")
@@ -114,10 +115,22 @@ class StepPlan:
         return out
 
 
+def _gaussian(gen: random.Random, n: int) -> np.ndarray:
+    """n standard normal draws by Box-Muller on gen's bits: the stdlib
+    generator, so no run loads numpy.random (6 MB resident) for a few
+    start vectors."""
+    pairs = (n + 1) // 2
+    bits = np.frombuffer(gen.randbytes(16 * pairs), dtype="<u8").reshape(2, pairs) >> 11
+    # 53-bit uniforms, the first in (0, 1] so that its log is finite
+    radius = np.sqrt(-2.0 * np.log((bits[0] + 1) * 2.0**-53))
+    angle = (2 * np.pi * 2.0**-53) * bits[1]
+    return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n]
+
+
 def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
     """Top-k Ritz pairs of a symmetric positive semidefinite operator on R^n.
 
-    Lanczos from the start vector `default_rng(seed).standard_normal(n)`;
+    Lanczos from the start vector `_gaussian(random.Random(seed), n)`;
     only a run that returns Ritz vectors (`want_vectors`) stores the
     Lanczos vectors and reorthogonalises against them, any other run
     holds a few n-vectors.  With or without reorthogonalisation, a small
@@ -132,7 +145,7 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
     None; each residual includes the rounding bound n eps theta_1 of the
     inner products behind theta.
     """
-    rng = np.random.default_rng(seed)
+    gen = random.Random(seed)
     limit = min(n, _MAX_STEPS)
     rounding = n * np.finfo(float).eps
     alpha, beta = np.zeros(limit), np.zeros(limit)
@@ -152,7 +165,7 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
                 break
         return w
 
-    w, prev = rng.standard_normal(n), np.zeros(n)
+    w, prev = _gaussian(gen, n), np.zeros(n)
     for j in range(limit):
         q = w / np.linalg.norm(w)
         if basis is not None:
@@ -173,7 +186,7 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
                 vectors = None if basis is None else s.T @ basis[:steps]
                 return theta, resid + rounding * theta[0], vectors
         if b <= rounding * np.abs(alpha[:steps]).max():
-            w = orthogonalize(rng.standard_normal(n), steps)
+            w = orthogonalize(_gaussian(gen, n), steps)
         else:
             beta[j] = b
     raise RuntimeError(

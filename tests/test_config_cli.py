@@ -622,6 +622,25 @@ def test_main_nan_in_eigcache_file_exits_numerical(tmp_path, capsys, entry):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_eigcache_file_with_no_pairs_exits_numerical(tmp_path, capsys):
+    # the file keeps its key digest and sigma0, but its header says K = 0
+    common = []
+    for pair in ("nx=16", "geometry=desk-sparse", "k_eigs=2", f"cache_dir={tmp_path / 'cache'}"):
+        common += ["--set", pair]
+    assert cli.main(["eig", *common]) == 0
+    (path,) = (tmp_path / "cache").glob("eig_*.bin")
+    head = bytearray(path.read_bytes()[:EIG_VALUES_AT])
+    head[8:12] = (0).to_bytes(4, "little")
+    path.write_bytes(bytes(head))
+    capsys.readouterr()
+    run = ["run", *common, "--set", "plan=lowrank", "--set", "k_max=5", "-o", str(tmp_path / "out")]
+    assert cli.main(run) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: [plan] {path}: the eigenset holds no eigenpairs")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eig_cache_key_names_the_engine(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path / "out", plan="lowrank", cache_dir=str(tmp_path / "cache"))
     grid, geom = cli.build_grid(cfg), build_geometry(cfg.geometry)
@@ -1081,41 +1100,84 @@ def test_tv_and_lowrank_runs_do_not_import_the_scipy_solvers(tmp_path):
     # package (the AST scan below checks the source), and no run needs
     # the process pool either; ct loads scipy's compiled sparse kernels
     # alone, and not the scipy.sparse package, whose import chain
-    # (scipy._lib, numpy.f2py, ...) adds about 14 MB
-    tv = ["--set", "problem=tvclsq", "-o", str(tmp_path / "tv")]
-    lowrank = ["--set", "plan=lowrank", "--set", "k_eigs=3",
-               "--set", f"cache_dir={tmp_path / 'cache'}", "-o", str(tmp_path / "lr")]
+    # (scipy._lib, numpy.f2py, ...) adds about 14 MB.  No command loads
+    # numpy.random or numpy.ma (about 7 MB with OpenSSL, which numpy.random
+    # reaches through secrets), nor hashlib, which loads OpenSSL itself
+    common = ["--set", "nx=16", "--set", "geometry=desk-sparse", "--set", "k_max=5"]
+    cache = ["--set", f"cache_dir={tmp_path / 'cache'}"]
+    commands = [
+        ["run", *common, "--set", "plan=scalar", "-o", str(tmp_path / "scalar")],
+        ["run", *common, "--set", "plan=diagonal", "-o", str(tmp_path / "diagonal")],
+        ["run", *common, "--set", "plan=lowrank", "--set", "k_eigs=3", *cache,
+         "-o", str(tmp_path / "lowrank")],
+        ["run", *common, "--set", "problem=tvclsq", "-o", str(tmp_path / "tvclsq")],
+        ["run", *common, "--set", "problem=tvlsq", "-o", str(tmp_path / "tvlsq")],
+        ["run", *common, "--set", "solver=gd", "-o", str(tmp_path / "gd")],
+        ["run", *common, "--set", "solver=cgls", "-o", str(tmp_path / "cgls")],
+        ["sweep", *common, "--param", "rho", "--values", "0.5,2", "-o", str(tmp_path / "sweep")],
+        ["phantom", *common, "-o", str(tmp_path / "phantom")],
+        ["eig", *common, "--set", "k_eigs=2", *cache],
+    ] + [["demo", name, "-o", str(tmp_path / f"demo-{name}")] for name in cli.DEMOS]
     script = f"""
 import sys
 from pdtomo import cli
-# loaded by the import, so the timed [phantom] stage loads neither
-assert "numpy.random" in sys.modules and "numpy.ma" in sys.modules
-common = ["--set", "nx=16", "--set", "geometry=desk-sparse", "--set", "k_max=5"]
-for extra in ({tv!r}, {lowrank!r}):
-    assert cli.main(["run", *common, *extra]) == 0
+dropped = ("numpy.random", "numpy.ma", "hashlib", "_hashlib")
+for command in {commands!r}:
+    assert cli.main(command) == 0
+    print("loaded", command[0], sorted(m for m in dropped if m in sys.modules))
 unused = ("scipy.sparse.linalg", "scipy.linalg", "scipy.ndimage", "concurrent.futures.process",
           "scipy.sparse", "scipy._lib", "numpy.f2py")
-print(sorted(m for m in unused if m in sys.modules))
+print("loaded", sorted(m for m in unused if m in sys.modules))
 """
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    lines = [line for line in out.stdout.splitlines() if line.startswith("loaded ")]
+    assert lines == [f"loaded {command[0]} []" for command in commands] + ["loaded []"]
+
+
+# numpy.random, numpy.ma and hashlib stay out of every process (above);
+# np.percentile reaches numpy.ma through np.unique
+_BARRED_PACKAGES = ("scipy", "hashlib", "_hashlib")
+_BARRED_NUMPY_NAMES = ("random", "ma", "percentile", "unique")
 
 
 def test_no_module_of_the_package_imports_a_scipy_package():
     # ct._load_sparsetools loads scipy's compiled kernels from their file,
-    # the package's only contact with scipy
-    found = []
+    # the package's only contact with scipy; fileio takes sha256 from
+    # hashlib only where CPython was built without its own, in the handler
+    # of the ImportError that such a build raises
+    found, fallbacks = [], []
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        handled = {
+            id(node)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            and isinstance(handler.type, ast.Name)
+            and handler.type.id == "ImportError"
+            for node in ast.walk(handler)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
             else:
                 continue
-            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+            for name in names:
+                head, _, rest = name.partition(".")
+                if head in ("np", "numpy"):
+                    barred = rest.split(".")[0] in _BARRED_NUMPY_NAMES
+                else:
+                    barred = head in _BARRED_PACKAGES and not isinstance(node, ast.Attribute)
+                if barred and head == "hashlib" and id(node) in handled:
+                    fallbacks.append(path.name)
+                elif barred:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+    assert fallbacks == ["fileio.py"]

@@ -18,6 +18,7 @@ from pdtomo.fileio import (
     save_pgm,
     save_raw,
     save_sinogram,
+    sha256,
     write_csv,
 )
 from pdtomo.spectral import EigenSet
@@ -227,6 +228,39 @@ def test_eigenset_rejects_foreign_file(tmp_path):
     path.write_bytes(b"XXXXGARBAGE")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not an eigenset"):
         load_eigenset(path)
+
+
+def test_eigenset_rejects_a_file_with_no_pairs_naming_the_file(tmp_path):
+    # a well-formed 52-byte header with K = 0 and nothing after it
+    path = tmp_path / "empty.eig"
+    path.write_bytes(b"EIG2" + struct.pack("<II", 6, 0) + KEY + struct.pack("<d", 1.0))
+    assert path.stat().st_size == 52
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: the eigenset holds no eigenpairs"):
+        load_eigenset(path)
+
+
+@pytest.mark.parametrize("size", [0, 3, 55, 56, 64, 100, 1000])
+def test_sha256_equals_hashlib(size):
+    # the digest inputs are ASCII joins of about 100 bytes; block-boundary
+    # lengths (55, 56, 64) included
+    data = bytes(range(33, 127)) * 11
+    assert sha256(data[:size]).digest() == hashlib.sha256(data[:size]).digest()
+
+
+# the scan's digests, pinned: data.sng headers and eigcache keys embed them
+@pytest.mark.parametrize(
+    "preset, scan, with_grid",
+    [
+        ("desk-sparse", "f5918954b23c2d712ac0e5b40ae1cd74", "31aef94da432be117740fa3ad377d57f"),
+        ("desk-full", "f702d604174061dd2bb69d69d1c1d431", "ee0ef48cc06408ccf2d3253fb6c5ab9a"),
+        ("desk-limited", "67b27d1b7e3931a1779e69a2841c009a", "9bac5f51ce3c17e0eb2ec3e4ebae9aaf"),
+        ("desk-oversampled", "8819f7b368363d4f5395db42e7d894cc", "e71a66576e0077ca32cf90a2cb93a884"),
+    ],
+)
+def test_geometry_digest_is_pinned(preset, scan, with_grid):
+    geom = build_geometry(preset)
+    assert geometry_digest(geom).hex() == scan
+    assert geometry_digest(geom, ImageGrid(64, 64, 18.0)).hex() == with_grid
 
 
 def test_geometry_digest_properties():

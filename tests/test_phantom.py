@@ -1,8 +1,13 @@
-"""Tests for the procedural two-tissue phantom."""
+"""Tests for the procedural two-tissue phantom.
+
+Oracles: numpy.random's Generator and np.percentile, which the package
+itself does not load.
+"""
 
 import numpy as np
 import pytest
 
+from pdtomo import phantom
 from pdtomo.ct import ImageGrid, fov_active, gradient
 from pdtomo.phantom import (
     FAT_VALUE,
@@ -13,6 +18,84 @@ from pdtomo.phantom import (
     gmi,
     phantom_tv,
 )
+
+# a seed past one 32-bit word takes SeedSequence's multi-word path, and
+# one past four words its extra mixing rounds
+MULTI_WORD_SEEDS = [2**32, 2**32 + 5, 2**40 + 3, 2**64 - 1, 2**97 + 12345, 2**200 + 1]
+
+
+def reference_generate(grid, seed, redraws):
+    """The phantom drawn with numpy.random and np.percentile; appends to
+    `redraws` the number of bump-centre redraw rounds."""
+    rng = np.random.default_rng(seed)
+    r_fov = grid.side_length / 2
+    c = grid.centers()
+    xx, yy = np.meshgrid(c, c)
+    rr = np.hypot(xx, yy)
+    theta = np.arctan2(yy, xx)
+    amps = 0.04 * rng.uniform(0.3, 1.0, size=3)
+    phases = rng.uniform(0, 2 * np.pi, size=3)
+    wobble = sum(a * np.cos(j * theta + p) for j, (a, p) in enumerate(zip(amps, phases), start=2))
+    breast = rr < 0.84 * r_fov * (1.0 + wobble)
+    region = 0.8 * r_fov
+    centers = rng.uniform(-region, region, size=(12, 2))
+    keep = np.hypot(centers[:, 0], centers[:, 1]) <= region
+    rounds = 0
+    while not keep.all():
+        centers[~keep] = rng.uniform(-region, region, size=((~keep).sum(), 2))
+        keep = np.hypot(centers[:, 0], centers[:, 1]) <= region
+        rounds += 1
+    redraws.append(rounds)
+    widths = rng.uniform(0.15, 0.30, size=12) * r_fov
+    bumps = np.zeros_like(xx)
+    for (cx, cy), w in zip(centers, widths):
+        bumps += np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * w**2))
+    threshold = np.percentile(bumps[breast], 60.0)
+    image = np.zeros_like(xx)
+    image[breast] = FAT_VALUE
+    image[breast & (bumps >= threshold)] = FIBRO_VALUE
+    return image.ravel()
+
+
+@pytest.mark.parametrize("seeds", [range(0, 500), range(500, 1000), MULTI_WORD_SEEDS])
+def test_pcg64_replica_equals_numpy_uniform(seeds):
+    for seed in seeds:
+        ours, numpys = phantom._PCG64(seed), np.random.default_rng(seed)
+        for lo, hi, size in [(0.3, 1.0, 3), (0, 2 * np.pi, 1), (-5.76, 5.76, (12, 2)),
+                             (-1.5, 2.5, (np.int64(3), 2)), (0.15, 0.30, 12)]:
+            got, want = ours.uniform(lo, hi, size), numpys.uniform(lo, hi, size)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+
+
+def test_pcg64_replica_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        phantom._PCG64(-1)
+
+
+@pytest.mark.parametrize("q", [60.0, 0.0, 37.5, 100.0])
+def test_partition_percentile_equals_numpy(q):
+    rng = np.random.default_rng(11)
+    sizes = [1, 2, 3, 4, 5, 10, 11, 97, 1000, 4096]
+    arrays = [rng.standard_normal(n) for n in sizes for _ in range(20)]
+    # ties, and the phantom's own bump field
+    arrays += [np.repeat(rng.standard_normal(7), 3), rng.integers(0, 4, 50).astype(float)]
+    grid = ImageGrid(64, 64, 18.0)
+    arrays.append(np.exp(-np.hypot(*np.meshgrid(grid.centers(), grid.centers())).ravel()))
+    for values in arrays:
+        want = np.percentile(values, q)
+        got = phantom._percentile(values.copy(), q)
+        assert np.float64(got).tobytes() == want.tobytes(), (values.size, q)
+
+
+@pytest.mark.parametrize("nx", [16, 64, 128])
+def test_generate_equals_the_numpy_random_reference(nx):
+    grid = ImageGrid(nx, nx, 18.0)
+    redraws = []
+    for seed in (0, 1, 7, 42, 301, 2**33, 2**40 + 3):
+        want = reference_generate(grid, seed, redraws)
+        assert generate(grid, seed).image.tobytes() == want.tobytes(), seed
+    # the bump-centre redraw loop is exercised
+    assert max(redraws) > 0
 
 
 def test_tissue_values_pinned():

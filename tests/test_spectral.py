@@ -4,11 +4,13 @@ Oracles: numpy.linalg.eigh / SVD / inv on dense materializations, plus
 closed-form spectra of constructed operators.
 """
 
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from pdtomo import spectral
 from pdtomo.ct import (
     ImageGrid,
     build_geometry,
@@ -72,6 +74,11 @@ def test_eigenset_rejects_non_finite_pairs(vectors, values):
         EigenSet(vectors, values)
 
 
+def test_eigenset_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="the eigenset holds no eigenpairs"):
+        EigenSet(np.zeros((0, 4)), np.zeros(0))
+
+
 def test_eigenset_shape_properties():
     es = EigenSet(np.eye(4)[:2], [5.0, 1.0])
     assert es.k == 2 and es.n == 4
@@ -105,24 +112,40 @@ def test_spectral_norm_restarts_past_an_invariant_subspace(monkeypatch):
     u, _ = np.linalg.qr(rng.standard_normal((50, 2)))
     v, _ = np.linalg.qr(rng.standard_normal((50, 2)))
     a = from_dense(u @ np.diag([3.0, 2.0]) @ v.T)
-    starts, applies, default_rng = [], [], np.random.default_rng
+    starts, applies, gaussian = [], [], spectral._gaussian
 
-    class Counted:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def standard_normal(self, n):
-            starts.append(n)
-            return self.rng.standard_normal(n)
+    def counted(gen, n):
+        starts.append(n)
+        return gaussian(gen, n)
 
     def forward(x):
         applies.append(1)
         return a(x)
 
-    monkeypatch.setattr(np.random, "default_rng", Counted)
+    monkeypatch.setattr(spectral, "_gaussian", counted)
     got = spectral_norm(LinearMap(50, 50, forward, a.adjoint), seed=0)
-    assert len(starts) == 2 and len(applies) == 5
+    assert starts == [50, 50] and len(applies) == 5
     assert got == pytest.approx(3.0, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 4096])
+def test_start_vectors_repeat_per_seed_and_differ_across_seeds(n):
+    draws = {seed: spectral._gaussian(random.Random(seed), n) for seed in (0, 1, 2**40 + 3)}
+    assert np.array_equal(draws[0], spectral._gaussian(random.Random(0), n))
+    assert all(d.shape == (n,) and np.isfinite(d).all() for d in draws.values())
+    assert not np.array_equal(draws[0], draws[1])
+    assert not np.array_equal(draws[1], draws[2**40 + 3])
+    # the restart after a breakdown draws a fresh vector from the same stream
+    gen = random.Random(0)
+    first, second = spectral._gaussian(gen, n), spectral._gaussian(gen, n)
+    assert np.array_equal(first, draws[0]) and not np.array_equal(first, second)
+
+
+def test_start_vectors_are_standard_normal():
+    # 2^16 Box-Muller draws: moments within a few standard errors
+    x = spectral._gaussian(random.Random(7), 1 << 16)
+    assert abs(x.mean()) < 0.02 and abs(x.var() - 1) < 0.03
+    assert abs(np.mean(x**4) - 3) < 0.15
 
 
 @pytest.mark.parametrize("quantity", ["norm", "sigma0"])
