@@ -10,6 +10,7 @@ another rho.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -28,7 +29,9 @@ _ORTH_TOL = 1e-6
 _NORM_TOL = 1e-10
 # Names the eigenpair engine in cache keys, so pairs or a sigma0 from
 # another engine are never read back as a hit.
-EIG_ENGINE = "lanczos-numpy-4"
+EIG_ENGINE = "lanczos-numpy-5"
+# Transparent huge page size: the eigenpair basis starts on this boundary
+_HUGE_PAGE = 2 << 20
 
 
 @dataclass
@@ -127,6 +130,126 @@ def _gaussian(gen: random.Random, n: int) -> np.ndarray:
     return np.concatenate((radius * np.cos(angle), radius * np.sin(angle)))[:n]
 
 
+def _sturm_laguerre(mu: float, alpha: list, beta2: list, pivmin: float):
+    """Pivots q_i = (mu - alpha_i) - beta2_{i-1} / q_{i-1} of mu I - T.
+
+    Returns (above, g, h): whether every pivot is positive, that is mu
+    lies above every eigenvalue (Sturm), and the sums g = sum 1/(mu -
+    lambda_i) and h = sum 1/(mu - lambda_i)^2 that Laguerre's step takes,
+    from the pivots' first and second derivatives in mu.  A pivot below
+    pivmin in size is set to +-pivmin, as LAPACK's dstebz does, so a zero
+    pivot divides by nothing and a beta = 0 restarts the recurrence.
+    """
+    q, t, u, g, h = 1.0, 0.0, 0.0, 0.0, 0.0
+    above = True
+    for a, b2 in zip(alpha, beta2):
+        r = b2 / q
+        q = (mu - a) - r
+        if q <= 0.0:
+            above = False
+            if q > -pivmin:
+                q = -pivmin
+        elif q < pivmin:
+            q = pivmin
+        # t = q'/q, u = q''/q, from q' = 1 + r t_prev, q'' = r (u_prev - 2 t_prev^2)
+        u = r * (u - 2.0 * t * t) / q
+        t = (1.0 + r * t) / q
+        g += t
+        h += t * t - u
+    return above, g, h
+
+
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
+    """The largest eigenvalue theta of the symmetric tridiagonal T with
+    diagonal alpha and off-diagonal beta, and |s_last|, the size of the
+    last component of its unit eigenvector; no LAPACK, O(j) float work
+    per sweep.
+
+    theta: Laguerre's iteration on det(mu I - T) from the Gershgorin bound
+    down.  From above the largest root of a polynomial whose roots are all
+    real, its iterates fall monotonically to that root, cubically near a
+    simple one; the Sturm sign of every step keeps a bracket [lo, hi], and
+    a step that leaves it bisects.  |s_last|: the twisted factorisation of
+    theta I - T (Dhillon and Parlett, 2004) at its smallest twist pivot,
+    the eigenvector's largest component, from which the vector is built
+    outward by ratios of beta to pivots, so a small last component keeps
+    its relative accuracy.  An eigenvector in a block that a beta = 0
+    closes off before the last row has s_last = 0.
+    """
+    j = alpha.size
+    a = alpha.tolist()
+    b = beta.tolist()
+    beta2 = [0.0] + (beta * beta).tolist()
+    pivmin = float(np.finfo(float).tiny) * max(1.0, max(beta2))
+    radius = np.abs(beta)
+    lo = float(alpha.max())
+    hi = float(np.max(alpha + np.append(radius, 0.0) + np.insert(radius, 0, 0.0)))
+    # from_above: mu came by Laguerre steps alone from a point above theta,
+    # so a vanishing step below theta is rounding at theta, not a lower root
+    mu, from_above = hi, True
+    # a cap, not a tolerance: an isolated top takes 4-10 sweeps, a cluster
+    # of equal top values (Laguerre is linear there) up to about 64
+    for _ in range(200):
+        above, g, h = _sturm_laguerre(mu, a, beta2, pivmin)
+        if above:
+            hi, from_above = mu, True
+        else:
+            lo = mu
+        root = math.sqrt(max((j - 1) * (j * h - g * g), 0.0))
+        denom = g + root if g >= 0.0 else g - root
+        new = mu - j / denom if denom else -math.inf
+        if new == mu and from_above:
+            break
+        if from_above and new <= lo:
+            # the step from above passed a point below theta: rounding
+            # at theta, so try the next float above that point
+            new = math.nextafter(lo, hi)
+        if not lo < new < hi:
+            new, from_above = 0.5 * (lo + hi), False
+            if new == lo or new == hi:
+                break
+        mu = new
+    theta = mu
+
+    # forward pivots q_i of theta I - T = L D L^T, backward pivots p_i of
+    # its U D U^T; the twist pivot gamma_i = q_i + p_i - (theta - alpha_i)
+    forward, q = [], 1.0
+    for ai, b2 in zip(a, beta2):
+        q = (theta - ai) - b2 / q
+        if abs(q) < pivmin:
+            q = pivmin
+        forward.append(q)
+    backward, p = [], 1.0
+    for ai, b2 in zip(reversed(a), reversed(beta2[1:] + [0.0])):
+        p = (theta - ai) - b2 / p
+        if abs(p) < pivmin:
+            p = pivmin
+        backward.append(p)
+    backward.reverse()
+    twist = min(range(j), key=lambda i: abs(forward[i] + backward[i] - (theta - a[i])))
+    # z_twist = 1; z_i = (beta_i / q_i) z_{i+1} above, z_{i+1} = (beta_i / p_{i+1}) z_i below
+    norm2, z = 1.0, 1.0
+    for i in range(twist - 1, -1, -1):
+        z *= b[i] / forward[i]
+        norm2 += z * z
+    z = 1.0
+    for i in range(twist, j - 1):
+        z *= b[i] / backward[i + 1]
+        norm2 += z * z
+    return theta, abs(z) / math.sqrt(norm2)
+
+
+def _huge_page_rows(rows: int, n: int) -> np.ndarray:
+    """An uninitialised (rows, n) float array that starts on a huge page
+    boundary: numpy asks for huge pages on large arrays, and a start that
+    varied within a huge page made the rows a run touches span one more
+    page in some processes and not in others."""
+    raw = np.empty(rows * n + _HUGE_PAGE // 8)
+    # np.empty returns at least 8-byte aligned memory, so the skip is whole floats
+    skip = -raw.__array_interface__["data"][0] % _HUGE_PAGE // 8
+    return raw[skip : skip + rows * n].reshape(rows, n)
+
+
 def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
     """Top-k Ritz pairs of a symmetric positive semidefinite operator on R^n.
 
@@ -138,19 +261,23 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
     1980): every _CHECK_EVERY steps the residuals beta |s_last| are
     checked, the run stops once the k leading ones are at most
     _RESIDUAL_TOL * theta_1 and raises RuntimeError if _MAX_STEPS steps
-    pass first.  A next vector at the rounding level n eps ||T|| marks an
-    invariant subspace; the run goes on from a fresh random vector with
-    beta = 0, which can find further copies of a repeated eigenvalue.
-    Returns (theta, residual, vectors), descending, `vectors` (k, n) or
-    None; each residual includes the rounding bound n eps theta_1 of the
-    inner products behind theta.
+    pass first.  A one-pair run without vectors (the spectral norm and
+    sigma_for_T) takes theta and s_last from `_top_ritz`, without LAPACK;
+    the eigenpair run solves its tridiagonal with LAPACK's
+    np.linalg.eigh, which a low-rank run reaches only on an eigcache
+    miss.  A next vector at the rounding level n eps ||T|| marks
+    an invariant subspace; the run goes on from a fresh random vector
+    with beta = 0, which can find further copies of a repeated
+    eigenvalue.  Returns (theta, residual, vectors), descending,
+    `vectors` (k, n) or None; each residual includes the rounding bound
+    n eps theta_1 of the inner products behind theta.
     """
     gen = random.Random(seed)
     limit = min(n, _MAX_STEPS)
     rounding = n * np.finfo(float).eps
     alpha, beta = np.zeros(limit), np.zeros(limit)
     # one row per step; only the rows a run reaches are ever touched
-    basis = np.empty((limit, n)) if want_vectors else None
+    basis = _huge_page_rows(limit, n) if want_vectors else None
 
     def orthogonalize(w: np.ndarray, count: int) -> np.ndarray:
         if basis is None:
@@ -179,9 +306,14 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
         b = np.linalg.norm(w)
         if steps % _CHECK_EVERY == 0 or steps == limit:
             off = beta[: steps - 1]
-            theta, s = np.linalg.eigh(np.diag(alpha[:steps]) + np.diag(off, 1) + np.diag(off, -1))
-            theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
-            resid = b * np.abs(s[-1])
+            if basis is None and k == 1:
+                top, last = _top_ritz(alpha[:steps], off)
+                theta, s_last = np.array([top]), np.array([last])
+            else:
+                theta, s = np.linalg.eigh(np.diag(alpha[:steps]) + np.diag(off, 1) + np.diag(off, -1))
+                theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+                s_last = s[-1]
+            resid = b * np.abs(s_last)
             if steps >= k and np.all(resid <= _RESIDUAL_TOL * theta[0]):
                 vectors = None if basis is None else s.T @ basis[:steps]
                 return theta, resid + rounding * theta[0], vectors

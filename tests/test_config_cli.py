@@ -808,6 +808,41 @@ def test_main_lanczos_step_cap_names_k_eigs(tmp_path, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+class LapackCalled(Exception):
+    """Raised by a patched np.linalg.eigh; no handler of cli.main catches it."""
+
+
+def test_one_pair_runs_never_call_eigh(tmp_path, monkeypatch):
+    # the spectral norm and sigma0 take their Ritz pair from _top_ritz;
+    # eigh serves the eigenpair run alone, which a cache hit skips
+    small = ("nx=16", "geometry=desk-sparse", "k_max=5")
+    lowrank = ("plan=lowrank", "k_eigs=3", f"cache_dir={tmp_path / 'cache'}")
+
+    def command(name, *settings):
+        args = ["run", "-o", str(tmp_path / name)]
+        for pair in small + settings:
+            args += ["--set", pair]
+        return args
+
+    assert cli.main(command("fill-cache", *lowrank)) == 0
+    calls = []
+
+    def eigh(*args, **kwargs):
+        calls.append(args)
+        raise LapackCalled
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert cli.main(command("lsq", "problem=lsq")) == 0
+    assert cli.main(command("tvclsq", "problem=tvclsq")) == 0
+    assert cli.main(command("gd", "solver=gd")) == 0
+    assert cli.main(command("lowrank-hit", *lowrank)) == 0
+    assert calls == []
+    with pytest.raises(LapackCalled):
+        cli.main(command("lowrank-miss", "plan=lowrank", "k_eigs=3",
+                         f"cache_dir={tmp_path / 'empty'}"))
+    assert len(calls) == 1
+
+
 def test_main_tv_problem_on_one_pixel_grid_is_config_error(tmp_path, capsys):
     # a one-pixel image has ||D|| = 0, so nu = ||X|| / ||D|| is undefined
     for problem in ("tvlsq", "tvclsq"):
@@ -1181,3 +1216,38 @@ def test_no_module_of_the_package_imports_a_scipy_package():
                     found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
     assert fallbacks == ["fileio.py"]
+
+
+_EIG_SOLVERS = ("eig", "eigh", "eigvals", "eigvalsh")
+
+
+def test_only_the_eigenpair_branch_of_lanczos_calls_an_eigensolver():
+    # LAPACK's dense eigensolvers: the spectral norm and sigma0 find their
+    # Ritz pair without one, so the only site is the branch of
+    # spectral._lanczos that runs when a basis is kept (the eigenpair run)
+    sites, allowed = [], []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rpartition(".")[2] for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(name in _EIG_SOLVERS for name in names):
+                sites.append((path.name, node.lineno))
+        if path.name == "spectral.py":
+            lanczos = next(f for f in tree.body if getattr(f, "name", None) == "_lanczos")
+            for branch in ast.walk(lanczos):
+                if isinstance(branch, ast.If) and "basis is None" in ast.unparse(branch.test):
+                    allowed += [
+                        (path.name, node.lineno)
+                        for stmt in branch.orelse
+                        for node in ast.walk(stmt)
+                        if isinstance(node, ast.Attribute) and node.attr in _EIG_SOLVERS
+                    ]
+    assert len(allowed) == 1
+    assert sites == allowed

@@ -1,9 +1,11 @@
 """Tests for spectral estimation and step-size plans.
 
-Oracles: numpy.linalg.eigh / SVD / inv on dense materializations, plus
+Oracles: numpy.linalg.eigh / SVD / inv on dense materializations, a
+40-digit decimal Sturm bisection for the top of a tridiagonal, plus
 closed-form spectra of constructed operators.
 """
 
+import decimal
 import random
 import tracemalloc
 
@@ -177,6 +179,197 @@ def test_norm_and_sigma0_hold_a_few_vectors_not_the_lanczos_basis(quantity):
         tracemalloc.stop()
     assert len(applies) >= 60
     assert peak < 10 * 8 * dim
+
+
+# ------------------------------------------------- the one-pair Ritz check
+
+
+def tridiagonal(alpha, beta):
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+
+
+def top_eigenvalue_by_decimal_bisection(alpha, beta):
+    """The largest eigenvalue of the float tridiagonal, by bisection on
+    its Sturm count in 40-digit decimal arithmetic: far below one ulp,
+    and independent of LAPACK and of the Laguerre iteration."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a = [decimal.Decimal(float(x)) for x in alpha]
+        b2 = [decimal.Decimal(0)] + [decimal.Decimal(float(x)) ** 2 for x in beta]
+
+        def above(mu):
+            q = decimal.Decimal(1)
+            for ai, bi in zip(a, b2):
+                q = mu - ai - bi / q
+                if q <= 0:
+                    return False
+            return True
+
+        top = max(a)
+        room = 1 + abs(top) + 2 * sum(abs(decimal.Decimal(float(x))) for x in beta)
+        lo, hi = top - 1, top + room
+        for _ in range(400):
+            if hi - lo <= abs(hi) * decimal.Decimal("1e-32"):
+                break
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        return float(hi)
+
+
+def lanczos_tridiagonal(spectrum, steps, seed, reorthogonalize):
+    """(alpha, beta) of `steps` Lanczos steps on diag(spectrum); without
+    reorthogonalisation a converged top value comes back as ghosts."""
+    q = np.random.default_rng(seed).standard_normal(spectrum.size)
+    q /= np.linalg.norm(q)
+    basis, prev, alpha, beta = [q], np.zeros_like(q), [], [0.0]
+    for _ in range(steps):
+        w = spectrum * q
+        alpha.append(q @ w)
+        w = w - alpha[-1] * q - beta[-1] * prev
+        if reorthogonalize:
+            stored = np.array(basis)
+            for _ in range(2):
+                w -= stored.T @ (stored @ w)
+        beta.append(np.linalg.norm(w))
+        prev, q = q, w / beta[-1]
+        basis.append(q)
+    return np.array(alpha), np.array(beta[1:-1])
+
+
+def random_tridiagonal(j, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.5, 1.5, j), rng.uniform(0.3, 1.0, j - 1)
+
+
+def spread(top, n=400):
+    return np.append(np.linspace(0.0, 1.0, n - 1), top)
+
+
+def with_split(first, second):
+    """Block-diagonal join of two tridiagonals: the beta = 0 of a restart."""
+    return np.concatenate([first[0], second[0]]), np.concatenate([first[1], [0.0], second[1]])
+
+
+# The first Ritz check (5 steps) of the lowrank-sweep sigma0 run at seed 3
+# (desk-oversampled, K = 25): Laguerre's second step from the Gershgorin
+# bound lands on theta itself, where the last pivot is exactly zero.
+SIGMA0_SEED3_ALPHA = [
+    0.05730144960629078, 0.5294426026685995, 0.5910712781244345,
+    0.5112601013893675, 0.4541785671031938,
+]
+SIGMA0_SEED3_BETA = [
+    0.12093237629033549, 0.33662176788431064, 0.234378349025107, 0.23943136481224964,
+]
+
+# eigenvalues in [0.1, 1.4], below the 2.0 of spread(2.0)
+LOW_BLOCK = tuple(0.5 * x for x in random_tridiagonal(5, 3))
+
+TRIDIAGONALS = {
+    "one-by-one": ([2.5], []),
+    **{f"random-j{j}-seed{seed}": random_tridiagonal(j, seed)
+       for j in (2, 5, 80, 155) for seed in (0, 1, 2)},
+    # s_last from 0.3 at j = 5 down through 1e-12 to below 1e-20
+    **{f"lanczos-top{top}-j{j}": lanczos_tridiagonal(spread(top), j, 0, True)
+       for top in (1.02, 1.03, 1.05) for j in (5, 80, 100, 155)},
+    # ghosts: two or three copies of the converged top, an ulp apart
+    **{f"ghosts-j{j}": lanczos_tridiagonal(spread(1.5), j, 1, False) for j in (80, 155)},
+    "split-top-in-last-block": with_split(LOW_BLOCK, lanczos_tridiagonal(spread(2.0), 12, 1, True)),
+    "split-top-in-first-block": with_split(lanczos_tridiagonal(spread(2.0), 12, 1, True), LOW_BLOCK),
+    "split-repeated-top": with_split(*[lanczos_tridiagonal(spread(1.5), 12, 2, True)] * 2),
+    "diagonal-repeated": ([2.0, 1.0, 2.0], [0.0, 0.0]),
+    "zero-pivot-at-gershgorin": ([1.0, 1.0], [1.0]),
+    "zero-diagonal": ([0.0, 0.0, 0.0], [1.0, 1.0]),
+    "zero-pivots-inside": ([1.0, 0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0]),
+    "sigma0-seed3": (SIGMA0_SEED3_ALPHA, SIGMA0_SEED3_BETA),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIDIAGONALS))
+def test_top_ritz_matches_eigh(name, monkeypatch):
+    alpha, beta = (np.asarray(x, dtype=float) for x in TRIDIAGONALS[name])
+    sweeps, sweep = [], spectral._sturm_laguerre
+
+    def counted(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(spectral, "_sturm_laguerre", counted)
+    theta, last = spectral._top_ritz(alpha, beta)
+    assert isinstance(theta, float) and isinstance(last, float)
+    # theta within one ulp of the exact top; eigh's own value is up to 5
+    # ulps off it here (ghosts-j80) and up to 10 on Lanczos runs' matrices
+    exact = top_eigenvalue_by_decimal_bisection(alpha, beta)
+    assert abs(theta - exact) <= np.spacing(abs(exact))
+    w, v = np.linalg.eigh(tridiagonal(alpha, beta))
+    assert abs(theta - w[-1]) <= 8 * np.spacing(abs(w[-1]))
+
+    cluster = w >= w[-1] - 1e-6 * np.abs(w).max()
+    if cluster.sum() > 1:
+        # the vectors of a cluster are not determined, but a unit vector
+        # in its span has no larger last component than e_j's projection;
+        # Laguerre converges only linearly to a cluster (41 and 64 sweeps
+        # for the ghosts, 30 for the repeated top)
+        assert 0.0 <= last <= np.linalg.norm(v[-1, cluster]) + 1e-12
+        return
+    # cubic convergence to an isolated top, the exact zero pivot included
+    assert len(sweeps) <= 12
+    # the isolated top lies in one unreduced block
+    ends = [0, *(np.flatnonzero(beta == 0.0) + 1), alpha.size]
+    blocks = list(zip(ends[:-1], ends[1:]))
+    start, stop = max(blocks, key=lambda blk: np.linalg.eigvalsh(
+        tridiagonal(alpha[blk[0]:blk[1]], beta[blk[0]:blk[1] - 1]))[-1])
+    if stop < alpha.size:
+        assert last == 0.0
+        return
+    wb, vb = np.linalg.eigh(tridiagonal(alpha[start:], beta[start:]))
+    if abs(vb[-1, -1]) >= 1e-6:
+        # eigh's component is accurate to about eps ||T|| / gap
+        want = abs(vb[-1, -1])
+    elif abs(vb[0, -1]) >= 1e-3:
+        # s_1 s_j = prod beta / prod_m (theta - theta_m) over the block,
+        # from eigh's eigenvalues and its first component: relative
+        # accuracy where eigh's own last component has only absolute
+        want = np.exp(
+            np.log(np.abs(beta[start:])).sum()
+            - np.log(wb[-1] - wb[:-1]).sum()
+            - np.log(abs(vb[0, -1]))
+        )
+    else:
+        # localised at neither end: eigh's absolute accuracy only
+        assert abs(last - abs(vb[-1, -1])) <= 1e-13
+        return
+    assert abs(last - want) <= 1e-8 * want
+
+
+def test_top_ritz_covers_last_components_down_to_1e_12():
+    lasts = [spectral._top_ritz(*map(np.asarray, TRIDIAGONALS[name]))[1]
+             for name in TRIDIAGONALS if name.startswith("lanczos-")]
+    assert min(lasts) < 1e-20 and max(lasts) > 0.1
+    assert any(1e-13 < s < 1e-11 for s in lasts)
+
+
+@pytest.mark.parametrize("rows, n", [(1, 1), (5, 3), (500, 4096)])
+def test_eigenpair_basis_starts_on_a_huge_page(rows, n):
+    basis = spectral._huge_page_rows(rows, n)
+    assert basis.shape == (rows, n) and basis.dtype == float
+    assert basis.flags.c_contiguous and basis.flags.writeable
+    assert basis.__array_interface__["data"][0] % (2 << 20) == 0
+
+
+def test_only_the_eigenpair_run_allocates_a_basis(monkeypatch):
+    allocated, allocate = [], spectral._huge_page_rows
+
+    def counted(rows, n):
+        allocated.append((rows, n))
+        return allocate(rows, n)
+
+    monkeypatch.setattr(spectral, "_huge_page_rows", counted)
+    a = from_dense(np.random.default_rng(2).standard_normal((30, 20)))
+    spectral_norm(a)
+    sigma_for_T(a, identity(20))
+    assert allocated == []
+    leading_eigenpairs(a, 3)
+    assert allocated == [(20, 20)]
 
 
 def test_leading_eigenpairs_match_dense_on_random_16x16():
