@@ -250,34 +250,32 @@ def _huge_page_rows(rows: int, n: int) -> np.ndarray:
     return raw[skip : skip + rows * n].reshape(rows, n)
 
 
-def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
-    """Top-k Ritz pairs of a symmetric positive semidefinite operator on R^n.
+def _lanczos(apply, n: int, seed: int, k: int | None = None):
+    """Leading Ritz pairs of a symmetric positive semidefinite operator on R^n.
 
-    Lanczos from the start vector `_gaussian(random.Random(seed), n)`;
-    only a run that returns Ritz vectors (`want_vectors`) stores the
-    Lanczos vectors and reorthogonalises against them, any other run
-    holds a few n-vectors.  With or without reorthogonalisation, a small
-    computed Ritz residual puts theta that close to an eigenvalue (Paige,
-    1980): every _CHECK_EVERY steps the residuals beta |s_last| are
-    checked, the run stops once the k leading ones are at most
-    _RESIDUAL_TOL * theta_1 and raises RuntimeError if _MAX_STEPS steps
-    pass first.  A one-pair run without vectors (the spectral norm and
-    sigma_for_T) takes theta and s_last from `_top_ritz`, without LAPACK;
-    the eigenpair run solves its tridiagonal with LAPACK's
-    np.linalg.eigh, which a low-rank run reaches only on an eigcache
-    miss.  A next vector at the rounding level n eps ||T|| marks
-    an invariant subspace; the run goes on from a fresh random vector
-    with beta = 0, which can find further copies of a repeated
-    eigenvalue.  Returns (theta, residual, vectors), descending,
-    `vectors` (k, n) or None; each residual includes the rounding bound
-    n eps theta_1 of the inner products behind theta.
+    Lanczos from the start vector `_gaussian(random.Random(seed), n)`.
+    `k = None` asks for the top pair alone (the spectral norm and
+    sigma_for_T): the run holds a few n-vectors and takes theta and
+    s_last from `_top_ritz`, without LAPACK.  An int k asks for k
+    eigenpairs: the run stores the Lanczos vectors, reorthogonalises
+    against them and solves its tridiagonal with np.linalg.eigh.  Either
+    way, a small computed Ritz residual puts theta that close to an
+    eigenvalue (Paige, 1980): every _CHECK_EVERY steps the residuals
+    beta |s_last| are checked, the run stops once the leading ones are
+    at most _RESIDUAL_TOL * theta_1 and raises RuntimeError if
+    _MAX_STEPS steps pass first.  A next vector at the rounding level n
+    eps ||T|| marks an invariant subspace; the run goes on from a fresh
+    random vector with beta = 0, which can find further copies of a
+    repeated eigenvalue.  Returns (theta, residual, vectors),
+    descending, `vectors` (k, n) or None; each residual includes the
+    rounding bound n eps theta_1 of the inner products behind theta.
     """
     gen = random.Random(seed)
     limit = min(n, _MAX_STEPS)
     rounding = n * np.finfo(float).eps
     alpha, beta = np.zeros(limit), np.zeros(limit)
     # one row per step; only the rows a run reaches are ever touched
-    basis = _huge_page_rows(limit, n) if want_vectors else None
+    basis = None if k is None else _huge_page_rows(limit, n)
 
     def orthogonalize(w: np.ndarray, count: int) -> np.ndarray:
         if basis is None:
@@ -306,7 +304,7 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
         b = np.linalg.norm(w)
         if steps % _CHECK_EVERY == 0 or steps == limit:
             off = beta[: steps - 1]
-            if basis is None and k == 1:
+            if basis is None:
                 top, last = _top_ritz(alpha[:steps], off)
                 theta, s_last = np.array([top]), np.array([last])
             else:
@@ -314,7 +312,7 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
                 theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
                 s_last = s[-1]
             resid = b * np.abs(s_last)
-            if steps >= k and np.all(resid <= _RESIDUAL_TOL * theta[0]):
+            if steps >= (k or 1) and np.all(resid <= _RESIDUAL_TOL * theta[0]):
                 vectors = None if basis is None else s.T @ basis[:steps]
                 return theta, resid + rounding * theta[0], vectors
         if b <= rounding * np.abs(alpha[:steps]).max():
@@ -323,7 +321,7 @@ def _lanczos(apply, n: int, k: int, seed: int, want_vectors: bool = False):
             beta[j] = b
     raise RuntimeError(
         f"Lanczos did not reach the Ritz residual bound {_RESIDUAL_TOL:g} "
-        f"for {k} pair(s) within {limit} steps"
+        f"for {k or 1} pair(s) within {limit} steps"
     )
 
 
@@ -331,7 +329,7 @@ def spectral_norm(map_: LinearMap, seed: int = 0) -> float:
     """||A||_2 from above: sqrt(theta + r) for the top Ritz value theta of
     A^T A and its residual r, so the step condition errs safe.  A zero
     operator returns 0."""
-    theta, resid, _ = _lanczos(lambda v: map_.adjoint(map_(v)), map_.domain_dim, 1, seed)
+    theta, resid, _ = _lanczos(lambda v: map_.adjoint(map_(v)), map_.domain_dim, seed)
     return float(np.sqrt(max(theta[0] + resid[0], 0.0)))
 
 
@@ -341,7 +339,7 @@ def leading_eigenpairs(map_: LinearMap, k: int, seed: int = 0) -> EigenSet:
     n = map_.domain_dim
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= K <= {n}, got {k}")
-    values, _, vectors = _lanczos(lambda v: map_.adjoint(map_(v)), n, k, seed, want_vectors=True)
+    values, _, vectors = _lanczos(lambda v: map_.adjoint(map_(v)), n, seed, k)
     if values[-1] <= n * np.finfo(float).eps * max(values[0], 0.0):
         raise ValueError(
             f"eigenvalue {k - 1} is numerically zero: operator rank is smaller than K"
@@ -396,7 +394,7 @@ def sigma_for_T(map_: LinearMap, t_map: LinearMap, seed: int = 0) -> float:
     which has the same nonzero spectrum: its top Ritz value plus residual
     bounds rho from above, so sigma errs on the safe side."""
     gram = lambda v: map_(t_map(map_.adjoint(v)))
-    theta, resid, _ = _lanczos(gram, map_.range_dim, 1, seed)
+    theta, resid, _ = _lanczos(gram, map_.range_dim, seed)
     top = float(theta[0] + resid[0])
     if not top > 0:
         raise ValueError("A T A^T has no positive eigenvalue; is A zero?")

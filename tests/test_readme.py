@@ -1,6 +1,7 @@
 """The README's Python examples run as written against the package, its
-`pdtomo eig` example prints what its comment shows, and its config table
-matches the config's fields and defaults."""
+`pdtomo eig` example prints what its comment shows, its config table
+matches the config's fields and defaults, and its study commands name
+the scripts and studies that exist."""
 
 import re
 import shlex
@@ -11,6 +12,7 @@ import pytest
 
 from pdtomo import cli
 from pdtomo.config import ExperimentConfig, parse_config_text
+from test_scripts import load_script
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,3 +63,18 @@ def test_readme_eig_example_prints_its_comment(tmp_path, monkeypatch, capsys):
     assert got[2] == want[2] and Path(got[2]).is_file()
     assert got[0] == want[0]
     assert float(got[1]) == pytest.approx(float(want[1]), rel=1e-12)
+
+
+def test_readme_study_commands_name_existing_scripts_and_every_study():
+    block = re.search(
+        r"^## Study scripts\n\n```sh\n(.*?)^```", README.read_text(), re.M | re.S
+    ).group(1)
+    studies = []
+    for line in block.splitlines():
+        python, script, *args = shlex.split(line, comments=True)
+        assert python == "python3" and script.startswith("scripts/"), line
+        assert (README.parent / script).is_file(), line
+        if script == "scripts/studies.py":
+            studies.append(args[0])
+    known = {"toy", *load_script("studies").STUDIES}
+    assert set(studies) == known
