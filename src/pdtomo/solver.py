@@ -12,12 +12,12 @@ which carries A x and A^T lambda, and rejects non-finite results.  One
 loop, `_iterate`, runs it and the gradient-descent and CGLS baselines
 with one record policy, one divergence guard and CGLS's breakdown
 stop.  Applies per step, then per record: CP one A and one A^T, then
-one X^T (and one D for tvclsq with validate_prox); GD one X and one
-X^T, then none; CGLS one X and one X^T, then one of each again, as its
-recursive residual drifts; GD and CGLS add one X and one X^T at
-set-up.  One metric function covers r_sigma = ||A x - y||, r_tau =
-||A^T lambda||, image/data RMSE, the least-squares gradient and the
-conditional primal-dual gap; the baselines share its fit part.
+one X^T, also with validate_prox; GD one X and one X^T, then none;
+CGLS one X and one X^T, then one of each again, as its recursive
+residual drifts; GD and CGLS add one X and one X^T at set-up.  One
+metric function covers r_sigma = ||A x - y||, r_tau = ||A^T lambda||,
+image/data RMSE, the least-squares gradient and the conditional
+primal-dual gap; the baselines share its fit part.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ class SaddleState:
     `ax` = A x and `atl` = A^T lambda are carried from step to step
     (None: not yet computed); `beta` is the l1-ball dual prox threshold
     of the update that produced the state (zero for problems without
-    that prox, and when the dual argument lies inside the ball).
+    that prox, and when the dual argument lies inside the ball); `v` is
+    that dual argument lambda + sigma*A xbar, kept where y is formed.
     """
 
     x: np.ndarray
@@ -72,6 +73,7 @@ class SaddleState:
     ax: np.ndarray | None = None
     atl: np.ndarray | None = None
     beta: float = 0.0
+    v: np.ndarray | None = None
 
 
 @dataclass
@@ -235,7 +237,7 @@ def make_prox(problem: ProblemSpec) -> ProxFn:
     the problem has no l1-ball prox).  The hint, a nearby threshold such
     as the previous step's beta, only speeds up the l1-ball threshold
     search; the other problems ignore it.  Only lsq takes a
-    per-component sigma."""
+    per-component sigma; the TV prox raises ValueError on one."""
     if problem.kind == "lsq":
 
         def prox_lsq(v, sigma, hint=0.0):
@@ -250,6 +252,8 @@ def make_prox(problem: ProblemSpec) -> ProxFn:
     radius = problem.nu * problem.gamma if l1_ball else problem.beta / problem.nu
 
     def prox_tv(v, sigma, hint=0.0):
+        if np.ndim(sigma):
+            raise ValueError("the TV dual prox needs a scalar sigma")
         out = np.empty_like(v)
         out[:m_s] = prox_lsq_conjugate(v[:m_s], sigma, problem.g)
         if l1_ball:
@@ -271,7 +275,8 @@ def _advance(
     A x+ = (A xbar + A x) / 2 and A^T lambda+, so a step with carried
     products costs one forward and one adjoint apply.  The dual prox
     starts its threshold search from the state's beta.  y+ is formed
-    from inv_sigma = 1/sigma, and left None when inv_sigma is None.
+    from inv_sigma = 1/sigma, and kept with the prox's argument v; both
+    are left None when inv_sigma is None.
     """
     atl = a_map.adjoint(state.lam) if state.atl is None else state.atl
     ax = a_map(state.x) if state.ax is None else state.ax
@@ -295,6 +300,7 @@ def _advance(
         ax=axbar,
         atl=a_map.adjoint(lam_new),
         beta=beta,
+        v=None if y_new is None else v,
     )
 
 
@@ -321,26 +327,20 @@ def metrics(
     return _pd_metrics(problem, state.x, state.lam, state.y, ax, atl, reference)
 
 
-def _prox_check(
-    problem: ProblemSpec, prev: SaddleState, new: SaddleState, plan: StepPlan
-) -> dict:
-    """Distance of the l1-ball dual update prev -> new from the
-    sort-based projection, with the fixed bound `default_l1_tol`;
-    RuntimeError when the distance exceeds the bound.  The dual argument's
-    nu D rows are rebuilt bit for bit, as `stack` forms them, at the cost
-    of one D apply."""
+def _prox_check(problem: ProblemSpec, state: SaddleState, plan: StepPlan) -> dict:
+    """Distance of the l1-ball dual update that produced `state` from the
+    sort-based projection of its dual argument `state.v`, with the fixed
+    bound `default_l1_tol`; RuntimeError when the distance exceeds the
+    bound.  Applies no operator."""
     m_s = problem.x_map.range_dim
-    nu_dx = problem.d_map(new.xbar)
-    if problem.nu != 1.0:
-        nu_dx *= problem.nu
-    v_g = prev.lam[m_s:] + plan.sigma * nu_dx
+    v_g = state.v[m_s:]
     radius = problem.nu * problem.gamma * plan.sigma
     ref_g = v_g - project_l1_ball_sorted(v_g, radius).value
-    residual = float(np.linalg.norm(new.lam[m_s:] - ref_g))
+    residual = float(np.linalg.norm(state.lam[m_s:] - ref_g))
     bound = default_l1_tol(v_g)
     if not residual <= bound:
         raise RuntimeError(
-            f"dual prox cross-check failed at iteration {new.iteration}: "
+            f"dual prox cross-check failed at iteration {state.iteration}: "
             f"residual {residual:.3e} exceeds its bound {bound:.3e}"
         )
     return {"prox_residual": residual, "prox_tol": bound}
@@ -382,26 +382,26 @@ class _LsqIterate:
 def _iterate(state, k_max: int, record_stride: int, step, emit):
     """Every solver's loop: up to k_max steps from `state` at iteration 0.
     `step(state, recorded)` returns the next state, or None to stop at the
-    current one; `emit(state, prev)` returns the metrics of a state reached
-    from prev (None at iteration 0).  Each new x passes the divergence guard.
-    Metrics are recorded at 0, every record_stride-th and the last one reached."""
+    current one; `emit(state)` returns a state's metrics.  Each new x passes
+    the divergence guard.  Metrics are recorded at 0, every
+    record_stride-th and the last one reached."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
-    guard, record, prev = _DivergenceGuard(), ConvergenceRecord(), None
-    record.append(0, **emit(state, prev))
+    guard, record = _DivergenceGuard(), ConvergenceRecord()
+    record.append(0, **emit(state))
     for k in range(1, k_max + 1):
         recorded = k % record_stride == 0 or k == k_max
         new = step(state, recorded)
         if new is None:
             break
         guard.check(new.x, k)
-        prev, state = state, new
+        state = new
         if recorded:
-            record.append(k, **emit(state, prev))
+            record.append(k, **emit(state))
     if record.iters[-1] != state.iteration:
-        record.append(state.iteration, **emit(state, prev))
+        record.append(state.iteration, **emit(state))
     return state, record
 
 
@@ -417,8 +417,6 @@ def run_cppd(
     With validate_prox=True each recorded tvclsq dual update is checked
     against the exact sort-based l1-ball projection, and its residual
     recorded; a residual above its bound raises RuntimeError."""
-    if problem.kind != "lsq" and np.ndim(plan.sigma):
-        raise ValueError("the TV dual prox needs a scalar sigma")
     a_map = problem.operator()
     prox = make_prox(problem)
     inv_sigma = plan.sigma_reciprocal()
@@ -429,10 +427,10 @@ def run_cppd(
     def step(s: SaddleState, recorded: bool) -> SaddleState:
         return _advance(s, plan, prox, a_map, inv_sigma if recorded else None)
 
-    def emit(s: SaddleState, prev: SaddleState | None) -> dict:
-        check = check_prox and prev is not None
+    def emit(s: SaddleState) -> dict:
+        check = check_prox and s.v is not None
         return {
-            **(_prox_check(problem, prev, s, plan) if check else {}),
+            **(_prox_check(problem, s, plan) if check else {}),
             **_pd_metrics(problem, s.x, s.lam, s.y, s.ax, s.atl, reference),
             "beta": s.beta if problem.kind == "tvclsq" else np.nan,
         }
@@ -469,7 +467,7 @@ def run_gd_lsq(
         k_max,
         record_stride,
         lambda s, recorded: fitted(s.x - rate * s.s, s.iteration + 1),
-        lambda s, prev: _fit_metrics(s.x, s.r, s.s, reference, problem.active),
+        lambda s: _fit_metrics(s.x, s.r, s.s, reference, problem.active),
     )
     return SaddleState(state.x, np.zeros_like(g), state.x, None, state.iteration), record
 
@@ -502,7 +500,7 @@ def run_cgls(
         p = s + (gamma / it.gamma) * it.p
         return _LsqIterate(it.x + a_step * it.p, it.iteration + 1, r, s, p, gamma)
 
-    def emit(it: _LsqIterate, prev) -> dict:
+    def emit(it: _LsqIterate) -> dict:
         # X x - g afresh: the recursive residual r drifts from it
         resid = operator(it.x) - g
         return _fit_metrics(it.x, resid, operator.adjoint(resid), reference, active)

@@ -44,3 +44,39 @@ def test_record_methods_the_probe_wraps_exist():
 
     assert callable(ConvergenceRecord.append)
     assert callable(ConvergenceRecord.to_csv)
+
+
+def test_lowrank_sweep_computes_the_eigenpairs_once(tmp_path, monkeypatch):
+    # perfbench marks `lowrank-sweep` incorrect unless its four rho values
+    # make one `cli.save_eigenset` call, three `cli.load_eigenset` calls
+    # and one file in `cache_dir`
+    from pdtomo import cli
+
+    calls = {"save_eigenset": 0, "load_eigenset": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cache = tmp_path / "eigcache"
+    argv = ["sweep", "-o", str(tmp_path / "out")]
+    for pair in (
+        "nx=16",
+        "geometry=desk-sparse",
+        "problem=lsq",
+        "plan=lowrank",
+        "k_eigs=3",
+        "k_max=5",
+        "record_stride=5",
+        f"cache_dir={cache}",
+    ):
+        argv += ["--set", pair]
+    argv += ["--param", "rho", "--values", "0.05,0.1,0.2,1.0"]
+    assert cli.main(argv) == 0
+    assert calls == {"save_eigenset": 1, "load_eigenset": 3}
+    assert len(list(cache.iterdir())) == 1

@@ -472,6 +472,80 @@ def test_run_cppd_rejects_per_component_sigma_on_tv(tiny, kind):
         run_cppd(spec, plan, k_max=1)
 
 
+@pytest.mark.parametrize("kind", ["tvlsq", "tvclsq"])
+def test_cppd_step_rejects_per_component_sigma_on_tv(tiny, kind):
+    # the check sits in the TV prox, so a single step raises it too,
+    # not a broadcast error from inside numpy
+    spec = ProblemSpec(
+        kind=kind,
+        x_map=tiny["x_map"],
+        g=tiny["g"],
+        d_map=tiny["d_map"],
+        beta=0.3,
+        gamma=0.8,
+        nu=tv_weight(tiny),
+    )
+    a_map = spec.operator()
+    m, n = a_map.range_dim, a_map.domain_dim
+    plan = StepPlan(np.full(m, 0.01), np.full(n, 0.01))
+    state = SaddleState(np.zeros(n), np.zeros(m), np.zeros(n), np.zeros(m))
+    with pytest.raises(ValueError, match="scalar sigma"):
+        cppd_step(state, plan, make_prox(spec), a_map)
+
+
+def stacked_dual_rows(spec, lam, xbar, sigma):
+    # lambda + sigma * (nu D xbar) on the gradient rows, formed as
+    # `stack` forms nu D xbar: a weight of 1 skips its scaling
+    nu_dx = spec.d_map(xbar)
+    if spec.nu != 1.0:
+        nu_dx *= spec.nu
+    return lam[spec.x_map.range_dim :] + sigma * nu_dx
+
+
+@pytest.mark.parametrize("kind", ["tvlsq", "tvclsq"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["nu_one", "nu_balanced"])
+def test_state_keeps_the_prox_argument(tiny, kind, weighted):
+    nu = tv_weight(tiny) if weighted else 1.0
+    spec = ProblemSpec(
+        kind=kind,
+        x_map=tiny["x_map"],
+        g=tiny["g"],
+        d_map=tiny["d_map"],
+        beta=0.05,
+        gamma=0.5 * tiny["phantom"].tv_value,
+        nu=nu,
+    )
+    a_map = spec.operator()
+    plan = scalar_steps(spectral_norm(a_map))
+    prox = make_prox(spec)
+    seen = []
+
+    def spying(v, sigma, hint=0.0):
+        seen.append((v, v.copy()))
+        return prox(v, sigma, hint)
+
+    # cppd_step: the carried v is the prox's own argument, left unwritten
+    state = SaddleState(
+        np.zeros(a_map.domain_dim),
+        np.zeros(a_map.range_dim),
+        np.zeros(a_map.domain_dim),
+        np.zeros(a_map.range_dim),
+    )
+    for _ in range(6):
+        new = cppd_step(state, plan, spying, a_map)
+        arg, before = seen[-1]
+        assert new.v is arg
+        assert np.array_equal(new.v, before)
+        want = stacked_dual_rows(spec, state.lam, new.xbar, plan.sigma)
+        assert np.array_equal(new.v[spec.x_map.range_dim :], want)
+        state = new
+    # run_cppd keeps it on its recorded states, and the last one always is
+    prior, _ = run_cppd(spec, plan, k_max=8)
+    final, _ = run_cppd(spec, plan, k_max=9, record_stride=4)
+    want = stacked_dual_rows(spec, prior.lam, final.xbar, plan.sigma)
+    assert np.array_equal(final.v[spec.x_map.range_dim :], want)
+
+
 # -------------------------------------------------------- divergence guard
 
 
@@ -742,9 +816,9 @@ def test_runner_apply_budget(tiny, solver):
     assert (calls["X"], calls["XT"]) == APPLY_BUDGET[solver]
 
 
-def test_prox_check_costs_one_d_apply_per_record(tiny):
-    # validate_prox rebuilds only the nu D rows of the dual argument, so
-    # each checked record (every one but iteration 0's) costs one D, no X
+def test_prox_check_costs_no_operator_apply(tiny):
+    # validate_prox reads the dual argument the step kept, so a checked
+    # record costs no apply beyond CP's X^T for grad_mag
     calls = {"X": 0, "XT": 0, "D": 0, "DT": 0}
 
     def counted(name, m):
@@ -766,8 +840,8 @@ def test_prox_check_costs_one_d_apply_per_record(tiny):
     )
     _, record = run_cppd(spec, plan, k_max=10, record_stride=3, validate_prox=True)
     assert len(record.iters) == 5
-    # CP's pair per step and X^T per record, plus one D per checked record
-    assert calls == {"X": 10, "XT": 15, "D": 14, "DT": 10}
+    # CP's pair per step and X^T per record, and nothing more
+    assert calls == {"X": 10, "XT": 15, "D": 10, "DT": 10}
 
 
 def test_cgls_raises_on_nonfinite_iterate():
